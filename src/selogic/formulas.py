@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,27 +148,52 @@ def labels_of(f: Formula) -> frozenset[str]:
             return frozenset()
 
 
-_TAGS = (Atom, NegAtom, Tensor, One, Plus, Zero, Par, Bot, With, Top, Bang, Qm)
-_TAG_INDEX = {cls: i for i, cls in enumerate(_TAGS)}
-
-
-@cache
-def formula_key(f: Formula):
-    """A total order key; used only to canonicalise contexts as multisets."""
+def _shape(f: Formula) -> tuple[str | None, tuple[Formula, ...]]:
+    """A node's own data (atom name or label) and its immediate subformulas."""
     match f:
-        case Atom(name) | NegAtom(name):
-            return (_TAG_INDEX[type(f)], (), name)
         case Tensor(a, b) | Plus(a, b) | Par(a, b) | With(a, b):
-            return (_TAG_INDEX[type(f)], (formula_key(a), formula_key(b)), "")
+            return None, (a, b)
         case Bang(label, body) | Qm(label, body):
-            return (_TAG_INDEX[type(f)], (formula_key(body),), label)
-        case _:
-            return (_TAG_INDEX[type(f)], (), "")
+            return label, (body,)
+        case Atom(name) | NegAtom(name):
+            return name, ()
+    return None, ()
 
 
-def canonical(ctx: Context) -> Context:
-    """A positional context collapsed to a canonical multiset ordering."""
-    return tuple(sorted(ctx, key=formula_key))
+def intern_table(*roots: Formula) -> dict[int, int]:
+    """Number every formula object inside ``roots``; equal formulas share a number.
+
+    This is hash-consing after Filliâtre & Conchon, *Type-Safe Modular
+    Hash-Consing* (ML 2006), done once per search: the table maps ``id(obj)``
+    of each sub-object to its equality class, so a multiset of formulas keys
+    as a sorted tuple of small ints instead of a deep dataclass hash.
+
+    Invariant: the table is valid only for sub-objects of ``roots``, and only
+    while the roots are alive (ids are reused after an object dies).  The
+    searches keep the goal alive for the whole call and only take formulas
+    apart, never build new ones, so every formula they meet is such a
+    sub-object.  Any other object is absent and its lookup raises ``KeyError``.
+    """
+    table: dict[int, int] = {}
+    classes: dict[tuple, int] = {}
+    stack = [(f, False) for f in roots]
+    while stack:
+        f, ready = stack.pop()
+        if id(f) in table:
+            continue
+        data, kids = _shape(f)
+        if ready:
+            shape = (type(f), data, *[table[id(k)] for k in kids])
+            table[id(f)] = classes.setdefault(shape, len(classes))
+        else:
+            stack.append((f, True))
+            stack.extend((k, False) for k in kids)
+    return table
+
+
+def context_key(table: dict[int, int], ctx: Context) -> tuple[int, ...]:
+    """The context as a multiset: sorted class numbers from :func:`intern_table`."""
+    return tuple(sorted(map(table.__getitem__, map(id, ctx))))
 
 
 def multiset_equal(a: Context, b: Context) -> bool:

@@ -5,15 +5,18 @@ the leftmost invertible rule (those never need backtracking), and once the
 context is neutral it tries each decide flavour in a fixed order — ldecide,
 then udecide, then decide, positions left to right.  Under focus the rules
 are forced except for plus (two candidates) and tensor, which copies every
-unbounded question-marked formula to both premises and enumerates subsets
-of the remaining formulas for the left premise.
+unbounded question-marked formula to both premises and splits the remaining
+formulas between them.  Equal formulas are interchangeable, so the split
+tries one left premise per multiset: of k equal formulas, the first j go
+left, for each j from 0 to k.
 
 Because udecide keeps its formula, proofs can regress forever; the search
 is made terminating by a per-branch cap on decides, deepened iteratively
 from zero so the first proof found uses as few decides along any branch as
-possible.  A failure memo keyed on canonical sequents makes the repeated
-rounds cheap.  Everything is deterministic: the same call yields the same
-certificate.
+possible.  A failure memo keyed on sequents as multisets makes the repeated
+rounds cheap; :func:`~selogic.formulas.intern_table` numbers the goal's
+formulas once per search, so its keys are small int tuples.  Everything is
+deterministic: the same call yields the same certificate.
 """
 
 from __future__ import annotations
@@ -52,11 +55,12 @@ from .formulas import (
     Top,
     With,
     Zero,
-    formula_key,
+    context_key,
+    intern_table,
     polarity,
 )
 from .signatures import Signature, is_unbounded, leq
-from .unfocused import BOT_RULE, PAR, TOP_RULE, WITH, validate_labels
+from .unfocused import BOT_RULE, PAR, TOP_RULE, WITH, tensor_splits, validate_labels
 
 
 @dataclass(slots=True)
@@ -64,6 +68,8 @@ class SearchStats:
     nodes: int = 0
     deepest_decides: int = 0
     rounds: int = 0
+    splits: int = 0  # tensor splits tried
+    memo_hits: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +110,8 @@ def prove_focused(
     if goal.focus is not None:
         validate_labels(sig, (goal.focus,))
     stats = SearchStats()
-    searcher = _Searcher(sig, stats, max_nodes, use_memo)
+    table = intern_table(*goal.context, *([] if goal.focus is None else [goal.focus]))
+    searcher = _Searcher(sig, stats, max_nodes, use_memo, table)
     try:
         for cap in range(max_decides + 1):
             stats.rounds += 1
@@ -118,20 +125,27 @@ def prove_focused(
         return Exhausted(stats, complete=False, hit_node_cap=True)
 
 
-def _canonical(fseq: FSequent):
-    ctx_key = tuple(sorted(formula_key(f) for f in fseq.context))
-    focus_key = None if fseq.focus is None else formula_key(fseq.focus)
-    return ctx_key, focus_key
-
-
 class _Searcher:
-    def __init__(self, sig: Signature, stats: SearchStats, max_nodes: int, use_memo: bool):
+    def __init__(
+        self,
+        sig: Signature,
+        stats: SearchStats,
+        max_nodes: int,
+        use_memo: bool,
+        table: dict[int, int],
+    ):
         self.sig = sig
         self.stats = stats
         self.max_nodes = max_nodes
-        # canonical sequent -> (largest decide budget that failed, whether a
-        # budget cutoff occurred inside that failed search)
+        # formula object id -> class number, over the goal's sub-objects
+        self.table = table
+        # (context key, focus class or -1) -> (largest decide budget that
+        # failed, whether a budget cutoff occurred inside that failed search)
         self.failed: dict | None = {} if use_memo else None
+
+    def _key(self, fseq: FSequent) -> tuple[tuple[int, ...], int]:
+        focus = -1 if fseq.focus is None else self.table[id(fseq.focus)]
+        return context_key(self.table, fseq.context), focus
 
     def search(self, fseq: FSequent, budget: int, used: int) -> tuple[FProof | None, bool]:
         self.stats.nodes += 1
@@ -142,9 +156,10 @@ class _Searcher:
 
         key = None
         if self.failed is not None and (fseq.focus is not None or _all_neutral(fseq.context)):
-            key = _canonical(fseq)
+            key = self._key(fseq)
             hit = self.failed.get(key)
             if hit is not None and budget <= hit[0]:
+                self.stats.memo_hits += 1
                 return None, hit[1]
 
         if fseq.focus is None:
@@ -252,9 +267,10 @@ class _Searcher:
                     if isinstance(g, Qm) and is_unbounded(self.sig, g.label)
                 )
                 rest = [i for i in range(len(ctx)) if i not in kept]
+                classes = [self.table[id(ctx[i])] for i in rest]
                 any_cutoff = False
-                for mask in range(1 << len(rest)):
-                    split = tuple(i for b, i in enumerate(rest) if mask >> b & 1)
+                for split in tensor_splits(rest, classes):
+                    self.stats.splits += 1
                     head = FProof(FTENSOR, split=split, kept=kept)
                     proof, cutoff = self._expand(fseq, head, budget, used)
                     if proof is not None:

@@ -26,6 +26,7 @@ Rule tags::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import CheckError, Reason, UnknownLabel
@@ -44,7 +45,8 @@ from .formulas import (
     Tensor,
     Top,
     With,
-    canonical,
+    context_key,
+    intern_table,
     labels_of,
 )
 from .signatures import Signature, is_unbounded, leq
@@ -301,31 +303,41 @@ def search_unfocused(
     The budget counts total rule applications in the emitted tree, with a
     separate global cap on contractions.  Returning ``None`` means no proof
     exists within the budget — not that the sequent is unprovable.  This is
-    a test oracle: the search enumerates every applicable rule (including
-    all tensor splits) and only prunes branches that provably cannot matter:
-    repeated states known to fail at an equal or larger budget, moves whose
-    premises coincide with an already-tried move of the same rule, and
-    branches that revisit an ancestor's context — budgets only shrink on the
-    way down, so any proof below such a repeat has a smaller cycle-free
-    counterpart that the enumeration reaches anyway.
+    a test oracle: the search enumerates every applicable rule (tensor
+    splits once per multiset, see :func:`tensor_splits`) and only prunes
+    branches that provably cannot matter: repeated states known to fail at
+    an equal or larger budget, moves whose premises coincide with an
+    already-tried move of the same rule, and branches that revisit an
+    ancestor's context — budgets only shrink on the way down, so any proof
+    below such a repeat has a smaller cycle-free counterpart that the
+    enumeration reaches anyway.
 
     The contraction cap is explored in tiers 0, 1, ..., ``max_contractions``:
     a proof using c contractions is found at tier c, so the set of goals with
     some proof inside the budget is unchanged, but goals with thrifty proofs
     never pay for the contraction-heavy part of the space.  Failure records
     carry the budget they were established at, so one cache serves all tiers.
+
+    Contexts are keyed as multisets of class numbers from
+    :func:`~selogic.formulas.intern_table`, built once from the goal.  That
+    is sound because every rule only takes formulas apart, keeps them or
+    copies them, so each formula the search meets is a sub-object of the
+    goal, and the goal stays alive for the whole call.
     """
     validate_labels(sig, goal.context)
+    table = intern_table(*goal.context)
     fails: dict = {}
     for cap in range(max_contractions + 1):
         for proof, _rules, _contr in _derivations(
-            sig, goal.context, max_rules, cap, fails, {}, 0, [_FAR]
+            sig, table, goal.context, max_rules, cap, fails, {}, 0, [_FAR]
         ):
             return proof
     return None
 
 
-def _moves(sig: Signature, ctx: Context, contr_left: int) -> Iterator[tuple[UProof, int]]:
+def _moves(
+    sig: Signature, table: dict[int, int], ctx: Context, contr_left: int
+) -> Iterator[tuple[UProof, int]]:
     """All rule applications at ``ctx``, deterministically ordered."""
     n = len(ctx)
     if n == 2:
@@ -364,8 +376,7 @@ def _moves(sig: Signature, ctx: Context, contr_left: int) -> Iterator[tuple[UPro
     for p, f in enumerate(ctx):
         if isinstance(f, Tensor):
             others = [i for i in range(n) if i != p]
-            for mask in range(1 << len(others)):
-                split = tuple(others[k] for k in range(len(others)) if mask >> k & 1)
+            for split in tensor_splits(others, [table[id(ctx[i])] for i in others]):
                 yield UProof(TENSOR, principal=p, split=split), 0
     # structural moves come last so the first derivation found is one that
     # did not duplicate or discard anything it could avoid touching
@@ -376,6 +387,28 @@ def _moves(sig: Signature, ctx: Context, contr_left: int) -> Iterator[tuple[UPro
     for p, f in enumerate(ctx):
         if isinstance(f, Qm) and is_unbounded(sig, f.label):
             yield UProof(WEAK, principal=p), 0
+
+
+def tensor_splits(rest: list[int], classes: list[int]) -> list[tuple[int, ...]]:
+    """The left-premise position sets a tensor tries, one per multiset.
+
+    ``classes[b]`` is the equality class of the formula at ``rest[b]``.  Of
+    the positions in one class only a prefix goes left, so k equal formulas
+    give k + 1 choices instead of 2^k.  The splits come in the ascending
+    order of their subset masks over ``rest``.  Every subset has such a
+    representative, whose premises are permutations of its own and whose
+    mask is no larger, so the first representative that succeeds is the
+    first subset the full 2^n enumeration would find succeeding.
+    """
+    bits: dict[int, list[int]] = {}
+    for b, c in enumerate(classes):
+        bits.setdefault(c, []).append(1 << b)
+    masks = [0]
+    for group in bits.values():
+        prefixes = list(accumulate(group, initial=0))
+        masks = [m + p for m in masks for p in prefixes]
+    masks.sort()
+    return [tuple(i for b, i in enumerate(rest) if mask >> b & 1) for mask in masks]
 
 
 def _record_fail(fails: dict, key, rules_left: int, contr_left: int) -> None:
@@ -392,6 +425,7 @@ _FAR = 10**9  # deeper than any path can reach
 
 def _derivations(
     sig: Signature,
+    table: dict[int, int],
     ctx: Context,
     rules_left: int,
     contr_left: int,
@@ -422,7 +456,7 @@ def _derivations(
     try:
         if rules_left <= 0:
             return
-        key = canonical(ctx)
+        key = context_key(table, ctx)
         for rl, cl in fails.get(key, ()):
             if rules_left <= rl and contr_left <= cl:
                 return
@@ -433,9 +467,9 @@ def _derivations(
         below = {**path, key: depth}
         yielded = False
         seen: set = set()
-        for head, ccost in _moves(sig, ctx, contr_left):
+        for head, ccost in _moves(sig, table, ctx, contr_left):
             prems = premises_of(sig, ctx, head)
-            dedup = (head.rule, tuple(canonical(p) for p in prems))
+            dedup = (head.rule, tuple(context_key(table, p) for p in prems))
             if dedup in seen:
                 continue
             seen.add(dedup)
@@ -444,7 +478,8 @@ def _derivations(
                 yield head, 1, ccost
             elif len(prems) == 1:
                 for sub, r, c in _derivations(
-                    sig, prems[0], rules_left - 1, contr_left - ccost, fails, below, depth + 1, mylow
+                    sig, table, prems[0], rules_left - 1, contr_left - ccost,
+                    fails, below, depth + 1, mylow,
                 ):
                     yielded = True
                     yield replace(head, premises=(sub,)), 1 + r, ccost + c
@@ -452,16 +487,19 @@ def _derivations(
                 # the right premise has the most budget when the left is
                 # smallest; if even that fails, skip the whole product
                 probe = _derivations(
-                    sig, prems[1], rules_left - 2, contr_left - ccost, fails, below, depth + 1, mylow
+                    sig, table, prems[1], rules_left - 2, contr_left - ccost,
+                    fails, below, depth + 1, mylow,
                 )
                 if next(probe, None) is None:
                     continue
                 probe.close()
                 for s1, r1, c1 in _derivations(
-                    sig, prems[0], rules_left - 2, contr_left - ccost, fails, below, depth + 1, mylow
+                    sig, table, prems[0], rules_left - 2, contr_left - ccost,
+                    fails, below, depth + 1, mylow,
                 ):
                     for s2, r2, c2 in _derivations(
                         sig,
+                        table,
                         prems[1],
                         rules_left - 1 - r1,
                         contr_left - ccost - c1,

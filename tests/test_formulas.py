@@ -17,14 +17,15 @@ from selogic.formulas import (
     Sequent,
     Tensor,
     With,
-    canonical,
+    context_key,
     dual,
-    formula_key,
+    intern_table,
     labels_of,
     multiset_equal,
     polarity,
 )
 from selogic.generators import random_formula, random_signature
+from selogic.parsing import parse_formula, print_formula
 
 import pytest
 
@@ -70,13 +71,16 @@ def test_labels_of_collects_nested():
 
 
 @given(st.integers(0, 2**32 - 1))
-def test_canonical_is_order_insensitive(seed):
+def test_context_key_is_order_insensitive(seed):
     rng = random.Random(seed)
     s = random_signature(rng)
     ctx = tuple(random_formula(rng, s, 3) for _ in range(rng.randint(1, 5)))
-    shuffled = list(ctx)
+    # re-parsed copies are equal formulas held by distinct objects
+    copies = tuple(parse_formula(print_formula(f)) for f in ctx)
+    shuffled = list(copies)
     rng.shuffle(shuffled)
-    assert canonical(ctx) == canonical(tuple(shuffled))
+    table = intern_table(*ctx, *copies)
+    assert context_key(table, ctx) == context_key(table, tuple(shuffled))
     assert multiset_equal(ctx, tuple(shuffled))
 
 
@@ -88,10 +92,27 @@ def test_multiset_equal_counts_duplicates():
     assert not multiset_equal(a, c)
 
 
-def test_formula_key_orders_consistently():
-    ctx = [Qm("u", ONE), Atom("x"), NegAtom("x"), ONE]
-    once = sorted(ctx, key=formula_key)
-    assert sorted(once, key=formula_key) == once
+@given(st.integers(0, 2**32 - 1))
+def test_intern_table_numbers_equal_formulas_alike(seed):
+    rng = random.Random(seed)
+    s = random_signature(rng)
+    fs = [random_formula(rng, s, 3) for _ in range(4)]
+    fs += [parse_formula(print_formula(f)) for f in fs]
+    table = intern_table(*fs)
+    for f in fs:
+        for g in fs:
+            assert (table[id(f)] == table[id(g)]) == (f == g)
+
+
+def test_intern_table_covers_subformulas_only():
+    x = Atom("x")
+    goal = Tensor(Qm("u", x), Par(Atom("x"), NegAtom("x")))
+    table = intern_table(goal)
+    assert table[id(x)] == table[id(goal.right.left)]
+    assert table[id(goal.left)] != table[id(x)]
+    # an equal formula that is not a sub-object of the goal is not numbered
+    with pytest.raises(KeyError):
+        context_key(table, (Atom("x"),))
 
 
 def test_sequent_requires_a_formula():

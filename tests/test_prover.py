@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,11 @@ from selogic.corpus import load_corpus
 from selogic.focusing import FSequent, check_focused
 from selogic.generators import random_context, random_signature
 from selogic.minsky import Halted, run
-from selogic.parsing import parse_sequent
+from selogic.formulas import Sequent
+from selogic.parsing import parse_sequent, print_sequent
 from selogic.prover import Exhausted, Proved, prove_focused
 from selogic.reduction import encode_halting
+from selogic.unfocused import tensor_splits
 
 # max_decides per corpus goal: trace length plus the register sum at the
 # halt step plus three, a bound the canonical certificates stay inside
@@ -67,6 +71,45 @@ def test_node_cap_reports_incompleteness(sig):
     out = prove_focused(sig, goal, max_decides=6, max_nodes=3)
     assert isinstance(out, Exhausted)
     assert out.hit_node_cap and not out.complete
+
+
+def test_search_counters_repeat_exactly(sig):
+    goal = fgoal("|- ?inf ~x, ?u ~y, ?u ~y, (x * (y * y)), ~x")
+    a = prove_focused(sig, goal, max_decides=5)
+    b = prove_focused(sig, goal, max_decides=5)
+    assert a.stats == b.stats
+    assert a.stats.splits > 0 and a.stats.memo_hits > 0
+    without = prove_focused(sig, goal, max_decides=5, use_memo=False)
+    assert without.stats.memo_hits == 0
+    assert without.stats.splits >= a.stats.splits
+
+
+def test_tensor_splits_one_per_multiset():
+    # positions 1, 4, 6 hold equal formulas (class 7); the others are distinct
+    rest = [1, 2, 4, 5, 6, 9]
+    classes = [7, 0, 7, 1, 7, 2]
+    splits = tensor_splits(rest, classes)
+    k, m = 3, 3
+    assert len(splits) == (k + 1) * 2**m
+    masks = [sum(1 << rest.index(i) for i in split) for split in splits]
+    assert masks == sorted(masks) and len(set(masks)) == len(masks)
+    equal = [1, 4, 6]
+    for split in splits:
+        chosen = [i for i in equal if i in split]
+        assert chosen == equal[: len(chosen)]
+    # every multiset of left formulas occurs: each subset of the distinct
+    # positions, with each count of equal ones
+    distinct = [2, 5, 9]
+    shapes = {(len(set(s) & set(equal)), tuple(i for i in s if i in distinct)) for s in splits}
+    assert shapes == {
+        (j, c) for j in range(k + 1) for r in range(m + 1) for c in combinations(distinct, r)
+    }
+
+
+def test_tensor_splits_without_duplicates_is_every_subset():
+    rest = [0, 3, 4]
+    splits = tensor_splits(rest, [5, 1, 3])
+    assert splits == [tuple(i for b, i in enumerate(rest) if mask >> b & 1) for mask in range(8)]
 
 
 def test_memo_does_not_change_the_verdict(sig):
@@ -128,3 +171,46 @@ def test_proofs_always_check(seed):
     if isinstance(out, Proved):
         check_focused(s, goal, out.proof)
         assert out.stats.deepest_decides <= 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_duplicated_entries_prove_alike_with_and_without_memo(seed):
+    rng = random.Random(seed)
+    s = random_signature(rng)
+    ctx = list(random_context(rng, s))
+    for _ in range(rng.randint(1, 3)):
+        ctx.insert(rng.randint(0, len(ctx)), rng.choice(ctx))
+    goal = FSequent(tuple(ctx))
+    with_memo = prove_focused(s, goal, max_decides=4, max_nodes=20_000)
+    without = prove_focused(s, goal, max_decides=4, max_nodes=20_000, use_memo=False)
+    if isinstance(without, Exhausted) and without.hit_node_cap:
+        return  # the memo-free search ran out of nodes first; nothing to compare
+    assert type(with_memo) is type(without)
+    if isinstance(with_memo, Proved):
+        assert with_memo.proof == without.proof
+        check_focused(s, goal, with_memo.proof)
+
+
+def test_equal_formulas_as_distinct_objects_prove_alike():
+    m, init = load_corpus("drain_a")
+    bundle = encode_halting(m, dataclasses.replace(init, a=2))
+    shared = bundle.goal
+    copied = parse_sequent(print_sequent(Sequent(shared))).context
+    assert copied == shared
+    tokens = [i for i, f in enumerate(copied) if copied.count(f) > 1]
+    assert tokens and len({id(copied[i]) for i in tokens}) == len(tokens)
+    a = prove_focused(bundle.signature, FSequent(shared), max_decides=7)
+    b = prove_focused(bundle.signature, FSequent(copied), max_decides=7)
+    assert isinstance(a, Proved) and isinstance(b, Proved)
+    assert a.proof == b.proof and a.stats == b.stats
+
+
+def test_drain_a_at_three_stays_under_its_node_count():
+    # splitting by multiplicity cut this from 13 788 nodes
+    m, init = load_corpus("drain_a")
+    assert init.a == 3
+    bundle = encode_halting(m, init)
+    out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=8)
+    assert isinstance(out, Proved)
+    assert out.stats.nodes <= 10_257
