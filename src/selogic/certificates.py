@@ -26,12 +26,22 @@ Focused nodes reuse par/bot/with/top verbatim and add:
 The leaves finit and f1 carry no position lists: whatever unbounded
 question-marked formulas remain in the context are absorbed implicitly,
 and the checker verifies that nothing else is left over.
+
+Layout is not grammar; the reader accepts any whitespace and ``;``
+comments.  The printer puts a node on one line when the line fits in 96
+columns, counting its indent and the closing parentheses that follow it.
+Otherwise the node's rule, numbers and position lists stay on its line
+and each premise starts a new one, indented two columns deeper only under
+a two-premise node.  Neither that head line nor the run of closing
+parentheses after a long chain is wrapped, so long certificates can have
+wider lines.  Printing and reading both walk with explicit stacks: time
+is linear in the text, and depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .focusing import BLUR, DECIDE, FBANG, FINIT, FONE, FPLUS1, FPLUS2, FTENSOR, LDECIDE, UDECIDE, FProof
+from .focusing import FBANG, FINIT, FONE, FTENSOR, FProof
 from . import unfocused as uf
 from .unfocused import UProof
 
@@ -71,7 +81,7 @@ def _lex(text: str, filename: str | None):
                 i += 1
                 col += 1
             word = text[start:i]
-            if word.isdigit():
+            if word.isascii() and word.isdigit():
                 out.append(("num", int(word), line, start_col))
             else:
                 out.append(("sym", word, line, start_col))
@@ -84,33 +94,27 @@ def _read_sexpr(text: str, filename: str | None):
     toks = _lex(text, filename)
     if not toks:
         raise ParseError("empty certificate", 1, 1, filename)
-
-    pos = 0
-
-    def expr():
-        nonlocal pos
-        if pos >= len(toks):
-            raise ParseError("unexpected end of input", toks[-1][2], toks[-1][3], filename)
-        kind, val, line, col = toks[pos]
-        pos += 1
-        if kind in ("num", "sym"):
-            return val
+    # the lists opened and not yet closed, innermost last
+    open_lists: list[_SList] = []
+    for i, (kind, val, line, col) in enumerate(toks):
         if kind == "(":
-            items = []
-            while True:
-                if pos >= len(toks):
-                    raise ParseError("unclosed parenthesis", line, col, filename)
-                if toks[pos][0] == ")":
-                    pos += 1
-                    return _SList(items, line, col)
-                items.append(expr())
-        raise ParseError("unmatched closing parenthesis", line, col, filename)
-
-    node = expr()
-    if pos != len(toks):
-        k, v, line, col = toks[pos]
-        raise ParseError("trailing input after the certificate", line, col, filename)
-    return node
+            open_lists.append(_SList([], line, col))
+            continue
+        if kind == ")":
+            if not open_lists:
+                raise ParseError("unmatched closing parenthesis", line, col, filename)
+            node = open_lists.pop()
+        else:
+            node = val
+        if open_lists:
+            open_lists[-1].items.append(node)
+            continue
+        if i + 1 < len(toks):
+            _, _, line, col = toks[i + 1]
+            raise ParseError("trailing input after the certificate", line, col, filename)
+        return node
+    inner = open_lists[-1]
+    raise ParseError("unclosed parenthesis", inner.line, inner.col, filename)
 
 
 class _Shape:
@@ -162,193 +166,214 @@ class _Shape:
             self.fail("too many arguments")
 
 
+def _build(root, filename, shape, make):
+    """Turn an s-expression tree into a proof tree without recursing.
+
+    ``shape`` reads one node's own arguments and returns the proof fields
+    and the premise s-expressions; it raises :class:`ParseError` as soon as
+    a node is malformed.  Nodes are read in pre-order, left premise first,
+    so the error reported is the one a left-to-right reading meets first.
+    """
+    order = []
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        fields, subs = shape(_Shape(node, filename))
+        order.append((fields, len(subs)))
+        pending.extend(reversed(subs))
+    # In reverse pre-order every node comes after all of its descendants,
+    # and its left premise's value lands on top of its right one's.
+    built = []
+    for fields, arity in reversed(order):
+        if arity:
+            fields["premises"] = tuple(reversed(built[-arity:]))
+            del built[-arity:]
+        built.append(make(**fields))
+    return built[0]
+
+
 def parse_unfocused_proof(text: str, filename: str | None = None) -> UProof:
-    return _u_from(_read_sexpr(text, filename), filename)
+    return _build(_read_sexpr(text, filename), filename, _u_shape, UProof)
 
 
-def _u_from(node, filename) -> UProof:
-    s = _Shape(node, filename)
+def _u_shape(s: _Shape) -> tuple[dict, list]:
     match s.tag:
         case "init":
             i, j = s.num(), s.num()
             s.done()
-            return UProof(uf.INIT, pair=(i, j))
+            return {"rule": uf.INIT, "pair": (i, j)}, []
         case "one":
             s.done()
-            return UProof(uf.ONE_RULE)
+            return {"rule": uf.ONE_RULE}, []
         case "top":
             p = s.num()
             s.done()
-            return UProof(uf.TOP_RULE, principal=p)
+            return {"rule": uf.TOP_RULE, "principal": p}, []
         case "tensor":
             p = s.num()
             left = s.numlist("left")
             l, r = s.sub(), s.sub()
             s.done()
-            return UProof(
-                uf.TENSOR,
-                principal=p,
-                split=left,
-                premises=(_u_from(l, filename), _u_from(r, filename)),
-            )
+            return {"rule": uf.TENSOR, "principal": p, "split": left}, [l, r]
         case "with":
             p = s.num()
             l, r = s.sub(), s.sub()
             s.done()
-            return UProof(
-                uf.WITH, principal=p, premises=(_u_from(l, filename), _u_from(r, filename))
-            )
+            return {"rule": uf.WITH, "principal": p}, [l, r]
         case "plus1" | "plus2" | "par" | "bot" | "qm" | "bang" | "weak" | "contr":
             p = s.num()
             sub = s.sub()
             s.done()
-            return UProof(s.tag, principal=p, premises=(_u_from(sub, filename),))
+            return {"rule": s.tag, "principal": p}, [sub]
         case _:
             s.fail("not an unfocused rule")
 
 
-def print_unfocused_proof(proof: UProof) -> str:
-    return _render(_u_sexpr(proof)) + "\n"
-
-
-def _u_sexpr(p: UProof):
-    match p.rule:
-        case uf.INIT:
-            return ["init", p.pair[0], p.pair[1]]
-        case uf.ONE_RULE:
-            return ["one"]
-        case uf.TOP_RULE:
-            return ["top", p.principal]
-        case uf.TENSOR:
-            return [
-                "tensor",
-                p.principal,
-                ["left", *p.split],
-                _u_sexpr(p.premises[0]),
-                _u_sexpr(p.premises[1]),
-            ]
-        case uf.WITH:
-            return ["with", p.principal, _u_sexpr(p.premises[0]), _u_sexpr(p.premises[1])]
-        case _:
-            return [p.rule, p.principal, _u_sexpr(p.premises[0])]
-
-
 def parse_focused_proof(text: str, filename: str | None = None) -> FProof:
-    return _f_from(_read_sexpr(text, filename), filename)
+    return _build(_read_sexpr(text, filename), filename, _f_shape, FProof)
 
 
-def _f_from(node, filename) -> FProof:
-    s = _Shape(node, filename)
+def _f_shape(s: _Shape) -> tuple[dict, list]:
     match s.tag:
         case "finit":
             p = s.num()
             s.done()
-            return FProof(FINIT, principal=p)
+            return {"rule": FINIT, "principal": p}, []
         case "f1":
             s.done()
-            return FProof(FONE)
+            return {"rule": FONE}, []
         case "top":
             p = s.num()
             s.done()
-            return FProof(uf.TOP_RULE, principal=p)
+            return {"rule": uf.TOP_RULE, "principal": p}, []
         case "ftensor":
             kept = s.numlist("kept")
             left = s.numlist("left")
             l, r = s.sub(), s.sub()
             s.done()
-            return FProof(
-                FTENSOR,
-                kept=kept,
-                split=left,
-                premises=(_f_from(l, filename), _f_from(r, filename)),
-            )
+            return {"rule": FTENSOR, "kept": kept, "split": left}, [l, r]
         case "with":
             p = s.num()
             l, r = s.sub(), s.sub()
             s.done()
-            return FProof(
-                uf.WITH, principal=p, premises=(_f_from(l, filename), _f_from(r, filename))
-            )
+            return {"rule": uf.WITH, "principal": p}, [l, r]
         case "fbang":
             kept = s.numlist("kept")
             sub = s.sub()
             s.done()
-            return FProof(FBANG, kept=kept, premises=(_f_from(sub, filename),))
+            return {"rule": FBANG, "kept": kept}, [sub]
         case "fplus1" | "fplus2" | "blur":
             sub = s.sub()
             s.done()
-            return FProof(s.tag, premises=(_f_from(sub, filename),))
+            return {"rule": s.tag}, [sub]
         case "decide" | "ldecide" | "udecide" | "par" | "bot":
             p = s.num()
             sub = s.sub()
             s.done()
-            return FProof(s.tag, principal=p, premises=(_f_from(sub, filename),))
+            return {"rule": s.tag, "principal": p}, [sub]
         case _:
             s.fail("not a focused rule")
 
 
-def print_focused_proof(proof: FProof) -> str:
-    return _render(_f_sexpr(proof)) + "\n"
+# --- printing ---------------------------------------------------------------
 
 
-def _f_sexpr(p: FProof):
+def print_unfocused_proof(proof: UProof) -> str:
+    return _layout(proof, _u_head)
+
+
+def _u_head(p: UProof) -> str:
     match p.rule:
-        case "finit":
-            return ["finit", p.principal]
-        case "f1":
-            return ["f1"]
-        case "top":
-            return ["top", p.principal]
+        case uf.INIT:
+            return f"init {p.pair[0]} {p.pair[1]}"
+        case uf.ONE_RULE:
+            return "one"
+        case uf.TENSOR:
+            return f"tensor {p.principal} {_positions('left', p.split)}"
+        case _:  # top, with and the one-premise rules
+            return f"{p.rule} {p.principal}"
+
+
+def print_focused_proof(proof: FProof) -> str:
+    return _layout(proof, _f_head)
+
+
+def _f_head(p: FProof) -> str:
+    match p.rule:
         case "ftensor":
-            return [
-                "ftensor",
-                ["kept", *p.kept],
-                ["left", *p.split],
-                _f_sexpr(p.premises[0]),
-                _f_sexpr(p.premises[1]),
-            ]
-        case "with":
-            return ["with", p.principal, _f_sexpr(p.premises[0]), _f_sexpr(p.premises[1])]
+            return f"ftensor {_positions('kept', p.kept)} {_positions('left', p.split)}"
         case "fbang":
-            return ["fbang", ["kept", *p.kept], _f_sexpr(p.premises[0])]
-        case "fplus1" | "fplus2" | "blur":
-            return [p.rule, _f_sexpr(p.premises[0])]
-        case _:
-            return [p.rule, p.principal, _f_sexpr(p.premises[0])]
+            return f"fbang {_positions('kept', p.kept)}"
+        case "f1" | "fplus1" | "fplus2" | "blur":
+            return p.rule
+        case _:  # finit, top, with, par, bot and the decide flavours
+            return f"{p.rule} {p.principal}"
+
+
+def _positions(marker: str, positions: tuple[int, ...]) -> str:
+    return "(" + " ".join([marker, *map(str, positions)]) + ")"
 
 
 _WIDTH = 96
 
 
-def _flat(x) -> str:
-    if isinstance(x, list):
-        return "(" + " ".join(_flat(y) for y in x) + ")"
-    return str(x)
+def _layout(root, head) -> str:
+    """Print a proof tree in time linear in the text, without recursing.
 
-
-def _render(x, indent: int = 0, closers: int = 0) -> str:
-    """One line when it fits, otherwise subproofs on their own lines.
-
-    ``closers`` counts the parentheses ancestors will append to this
-    subtree's final line, so the width check sees the real line length.
-    Indentation deepens only where a node has two premises; a sole
-    premise stays at its parent's indent.  Long runs of single-premise
-    rules would otherwise march the text (and the pile of closing
-    parentheses on the last line) past any width.
+    ``head`` gives a node's own tokens: its rule, numbers and position
+    lists.  A node goes on one line when that line, with its indent and
+    the closing parentheses its ancestors append to it, fits in
+    ``_WIDTH`` columns.  Otherwise its head stays on the line and each
+    premise starts a new one.  Indentation deepens only where a node has
+    two premises; a sole premise stays at its parent's indent, so long
+    runs of single-premise rules do not march right.
     """
-    flat = _flat(x)
-    if not isinstance(x, list) or indent + len(flat) + closers <= _WIDTH:
-        return flat
-    head = [y for y in x if not _is_subproof(y)]
-    subs = [y for y in x if _is_subproof(y)]
-    step = indent + 2 if len(subs) > 1 else indent
-    pad = " " * step
-    lines = ["(" + " ".join(_flat(y) for y in head)]
-    for k, y in enumerate(subs):
-        pending = closers + 1 if k == len(subs) - 1 else 1
-        lines.append(pad + _render(y, step, pending))
-    return "\n".join(lines) + ")"
+    # Breadth-first order: node i's premises are nodes first[i] onwards,
+    # and every node comes after its ancestors.
+    order = [root]
+    first = []
+    for node in order:
+        first.append(len(order))
+        order.extend(node.premises)
+    heads = [head(node) for node in order]
 
+    # Pass 1, bottom-up: each node's one-line width, and its one-line text
+    # when that is short enough to ever be printed whole.  Those texts are
+    # at most _WIDTH long, so building them stays linear.
+    widths = [0] * len(order)
+    flats = [""] * len(order)
+    for i in range(len(order) - 1, -1, -1):
+        subs = range(first[i], first[i] + len(order[i].premises))
+        width = len(heads[i]) + 2
+        for k in subs:
+            width += widths[k] + 1
+        widths[i] = width
+        if width <= _WIDTH:
+            text = heads[i]
+            for k in subs:
+                text += " " + flats[k]
+            flats[i] = "(" + text + ")"
 
-def _is_subproof(y) -> bool:
-    return isinstance(y, list) and (not y or y[0] not in ("left", "kept"))
+    # Pass 2, top-down: text fragments in order.  A pending entry is a
+    # literal fragment or (node index, indent, closers).
+    out: list[str] = []
+    pending = [(0, 0, 0)]
+    while pending:
+        item = pending.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        i, indent, closers = item
+        if indent + widths[i] + closers <= _WIDTH:
+            out.append(flats[i])
+            continue
+        out.append("(" + heads[i])
+        pending.append(")")
+        arity = len(order[i].premises)
+        step = indent + 2 if arity > 1 else indent
+        newline = "\n" + " " * step
+        for k in range(arity - 1, -1, -1):
+            pending.append((first[i] + k, step, closers + 1 if k == arity - 1 else 1))
+            pending.append(newline)
+    out.append("\n")
+    return "".join(out)

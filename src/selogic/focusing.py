@@ -301,12 +301,11 @@ def _check(sig: Signature, fseq: FSequent, node: FProof, path: tuple[int, ...]) 
 
 
 def count_decides(proof: FProof) -> int:
-    own = 1 if proof.rule in DECIDE_RULES else 0
-    return own + sum(count_decides(p) for p in proof.premises)
+    return sum(1 for node in uf.proof_nodes(proof) if node.rule in DECIDE_RULES)
 
 
 def fproof_size(proof: FProof) -> int:
-    return 1 + sum(fproof_size(p) for p in proof.premises)
+    return uf.proof_size(proof)
 
 
 # --- defocusing -------------------------------------------------------------

@@ -37,8 +37,8 @@ from .focusing import (
     UDECIDE,
     FProof,
     FSequent,
+    fmaterialize,
     fpremise_plans,
-    fpremises_of,
     is_neutral_formula,
 )
 from .formulas import (
@@ -176,10 +176,14 @@ class _Searcher:
     def _expand(
         self, fseq: FSequent, head: FProof, budget: int, used: int
     ) -> tuple[FProof | None, bool]:
-        """Search every premise of one rule application."""
+        """Search every premise of one rule application.
+
+        A premise is built only once the ones before it are proved: most
+        tensor splits fail at their left premise.
+        """
         subs = []
-        for prem in fpremises_of(self.sig, fseq, head):
-            sub, cutoff = self.search(prem, budget, used)
+        for plan in fpremise_plans(self.sig, fseq, head):
+            sub, cutoff = self.search(fmaterialize(fseq, plan), budget, used)
             if sub is None:
                 return None, cutoff
             subs.append(sub)

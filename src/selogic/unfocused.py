@@ -280,13 +280,26 @@ def _check(sig: Signature, ctx: Context, node: UProof, path: tuple[int, ...]) ->
 
 # --- proof statistics -------------------------------------------------------
 
+def proof_nodes(proof):
+    """Every node of a focused or unfocused proof tree, in pre-order.
+
+    Walks with an explicit stack, so tree depth is not bounded by the
+    recursion limit.  A premise object shared by several parents is
+    yielded once per occurrence, as in the tree the text prints.
+    """
+    pending = [proof]
+    while pending:
+        node = pending.pop()
+        yield node
+        pending.extend(reversed(node.premises))
+
+
 def proof_size(proof: UProof) -> int:
-    return 1 + sum(proof_size(p) for p in proof.premises)
+    return sum(1 for _ in proof_nodes(proof))
 
 
 def count_rule(proof: UProof, rule: str) -> int:
-    own = 1 if proof.rule == rule else 0
-    return own + sum(count_rule(p, rule) for p in proof.premises)
+    return sum(1 for node in proof_nodes(proof) if node.rule == rule)
 
 
 # --- bounded search (test oracle) ------------------------------------------

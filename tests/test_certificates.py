@@ -1,4 +1,10 @@
+import hashlib
+import time
+from dataclasses import fields
+from itertools import zip_longest
+
 import pytest
+from hypothesis import given, strategies as st
 
 from selogic.certificates import (
     parse_focused_proof,
@@ -8,11 +14,11 @@ from selogic.certificates import (
 )
 from selogic.corpus import load_corpus
 from selogic.errors import ParseError
-from selogic.focusing import DECIDE, FINIT, FProof, FSequent, FTENSOR, check_focused, defocus
+from selogic.focusing import BLUR, DECIDE, FINIT, FONE, FProof, FSequent, FTENSOR, check_focused, defocus
 from selogic.formulas import Sequent
-from selogic.minsky import run
+from selogic.minsky import Configuration, run
 from selogic.reduction import encode_halting, proof_from_trace
-from selogic.unfocused import INIT, TENSOR, UProof, check_unfocused
+from selogic.unfocused import INIT, ONE_RULE, TENSOR, WEAK, UProof, check_unfocused, proof_nodes
 
 
 FIN0 = FProof(FINIT, principal=0)
@@ -103,11 +109,186 @@ def test_unfocused_roundtrip_on_corpus(name, corpus_proofs):
     check_unfocused(bundle.signature, Sequent(bundle.goal), again)
 
 
+def _ladder_proofs(name: str, a: int):
+    m, init = load_corpus(name)
+    init = Configuration(init.state, a, 0)
+    bundle = encode_halting(m, init)
+    fp = proof_from_trace(bundle, run(m, init, 200).trace)
+    return fp, defocus(fp, bundle.signature, FSequent(bundle.goal))
+
+
+# sha256 of the printed focused and unfocused certificates as the earlier,
+# recursive printer laid them out: the layout must not move.
+PRINTED_DIGESTS = {
+    "halt_only": (
+        "15dacd0e8c7f269b28e796069b102f56b88ceef59325f639bb95c628bf448ad1",
+        "cf72f3ede691a8c9b15ae531535f576d523cbb447953a18886a21cbcbef8e0e0",
+    ),
+    "incra_halt": (
+        "03bca4796d5ef984102ec014035fd7270365bdc1a320731b96c961f7aa4860c2",
+        "b2e39d81283430d40c8700ee4f4484fafdb61c73ad2cea003168c50d2f73b93a",
+    ),
+    "incrb_halt": (
+        "688720352ecac8e85d7810869dae13fe2af56c517cf6109dd64c68129eaf2afc",
+        "47b9a4421cdf217786a655fde754f3fb38e7fffa2e6334607bb81f690dfc8c28",
+    ),
+    "gated_zero": (
+        "a760ebe5a0caacf996162fa6b3a736f57a919cb07e215f5424838b80b4ac926d",
+        "8db82f7f7ee2edc7c223f16af0fdffc7b0e50f0315b5752530d9dacf3f247c5a",
+    ),
+    "drain_a": (
+        "efa2ca45e08d102010c7e5d5ebab82c432628d12594b49b1ae4823d7654349a5",
+        "cf14ac3b3f82dba8b2b2ceb6052586ee7f2d28704e35673b1efbe9c52f358e20",
+    ),
+    "drain_b": (
+        "efa2ca45e08d102010c7e5d5ebab82c432628d12594b49b1ae4823d7654349a5",
+        "cf14ac3b3f82dba8b2b2ceb6052586ee7f2d28704e35673b1efbe9c52f358e20",
+    ),
+    "transfer_ab": (
+        "a70f8f376abe4a6fcb32fc0ba6e64f6250ce25663df726140655841586c6a7f5",
+        "edab646f8db679fb9311733a72f576b15c7878742ceea03219a4218a367e1ab3",
+    ),
+    # longer runs, with lines far wider than 96 columns
+    "drain_a@40": (
+        "342cce94da0c18968b94b4c538c7ce775793375cf8daba1dc976d4f253558b95",
+        "c79079bc8be31a49b854545652605ae30ade0f33c0e8b0f74aa85621bdf360c0",
+    ),
+    "transfer_ab@30": (
+        "500dc9cffc6446077f10bd3bf035c51f72b638378328dd1947b5129cd8483515",
+        "7ca560d54fc690a3f9ad8198ed91f64c6afb5aa2ee2561ddcf41cbe2081fbd7e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED_DIGESTS))
+def test_printed_text_matches_pinned_digests(name, corpus_proofs):
+    if "@" in name:
+        family, a = name.split("@")
+        fp, up = _ladder_proofs(family, int(a))
+    else:
+        _, fp, up = corpus_proofs[name]
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert (digest(print_focused_proof(fp)), digest(print_unfocused_proof(up))) == PRINTED_DIGESTS[name]
+
+
 @pytest.mark.parametrize("name", HALTING)
 def test_rendered_lines_stay_inside_96_columns(name, corpus_proofs):
     _, fp, up = corpus_proofs[name]
     for text in (print_focused_proof(fp), print_unfocused_proof(up)):
         assert all(len(line) <= 96 for line in text.splitlines())
+
+
+# --- deep trees, under the default recursion limit --------------------------
+
+
+def _same_tree(a, b) -> bool:
+    """Structural equality without recursing (``==`` and ``repr`` recurse)."""
+    own = lambda node: (
+        type(node),
+        len(node.premises),
+        *(getattr(node, f.name) for f in fields(node) if f.name != "premises"),
+    )
+    return all(
+        x is not None and y is not None and own(x) == own(y)
+        for x, y in zip_longest(proof_nodes(a), proof_nodes(b))
+    )
+
+
+def _focused_spine(nodes: int) -> FProof:
+    proof = FProof(FONE)
+    for k in range(nodes - 1):
+        proof = FProof(BLUR, premises=(proof,)) if k % 2 else FProof(DECIDE, principal=0, premises=(proof,))
+    return proof
+
+
+def _unfocused_spine(nodes: int) -> UProof:
+    proof = UProof(ONE_RULE)
+    for _ in range(nodes - 1):
+        proof = UProof(WEAK, principal=0, premises=(proof,))
+    return proof
+
+
+@pytest.mark.parametrize(
+    "spine,printer,parser",
+    [
+        (_focused_spine, print_focused_proof, parse_focused_proof),
+        (_unfocused_spine, print_unfocused_proof, parse_unfocused_proof),
+    ],
+)
+def test_twenty_thousand_node_spines_print_and_parse_back(spine, printer, parser):
+    proof = spine(20_000)
+    start = time.perf_counter()
+    text = printer(proof)
+    again = parser(text)
+    assert time.perf_counter() - start < 5.0
+    assert _same_tree(again, proof)
+    assert sum(1 for _ in proof_nodes(again)) == 20_000
+    # a sole premise never indents, so every line starts at column 0
+    assert text.count("\n") == 20_000
+    assert not any(line.startswith(" ") for line in text.splitlines())
+
+
+def test_same_tree_sees_one_changed_node():
+    proof = _focused_spine(50)
+    text = print_focused_proof(proof)
+    assert not _same_tree(parse_focused_proof(text.replace("(f1)", "(finit 0)")), proof)
+    assert not _same_tree(_focused_spine(49), proof)
+
+
+def test_deep_text_parses_or_fails_with_a_parse_error():
+    deep = "(blur " * 3000 + "(f1)" + ")" * 3000
+    assert sum(1 for _ in proof_nodes(parse_focused_proof(deep))) == 3001
+    with pytest.raises(ParseError) as e:
+        parse_focused_proof("(" * 2000)
+    assert "unclosed parenthesis" in str(e.value)
+    assert (e.value.line, e.value.column) == (1, 2000)
+    with pytest.raises(ParseError) as e:
+        parse_focused_proof("(blur " * 3000 + "(oops)" + ")" * 3000)
+    assert "oops: not a focused rule" in str(e.value)
+    assert (e.value.line, e.value.column) == (1, 6 * 3000 + 1)
+    with pytest.raises(ParseError) as e:
+        parse_unfocused_proof("(weak 0 " * 3000 + "(one)" + ")" * 2999)
+    assert "unclosed parenthesis" in str(e.value)
+
+
+# Rule names of both calculi, so that fuzzed text reaches the argument
+# readers of every rule and not only the lexer; whole leaves and rule
+# openings make some draws well-formed, and those must round-trip.
+_FUZZ_WORDS = [
+    "init", "one", "top", "tensor", "with", "plus1", "plus2", "par", "bot", "qm", "bang",
+    "weak", "contr", "finit", "f1", "ftensor", "fplus1", "fplus2", "fbang", "blur",
+    "decide", "ldecide", "udecide", "kept", "left",
+]
+_FUZZ_PIECES = ["(one)", "(f1)", "(init 0 1)", "(finit 0)", "(blur", "(weak 0", "(kept)", "(left 1)"]
+_FUZZ_TEXT = st.lists(
+    st.tuples(
+        st.sampled_from(["(", ")"])
+        | st.sampled_from(_FUZZ_WORDS + _FUZZ_PIECES)
+        | st.integers(0, 12).map(str),
+        st.sampled_from(["", " ", "\n", "\t"]),
+    ),
+    max_size=24,
+).map(lambda parts: "".join(token + space for token, space in parts)) | st.recursive(
+    # balanced text: every form is read, not only the first bad parenthesis
+    st.sampled_from(_FUZZ_WORDS) | st.integers(0, 3).map(str),
+    lambda inner: st.tuples(st.sampled_from(_FUZZ_WORDS), st.lists(inner, max_size=4)).map(
+        lambda form: "(" + " ".join([form[0], *form[1]]) + ")"
+    ),
+    max_leaves=30,
+)
+
+
+@given(_FUZZ_TEXT)
+def test_fuzzed_text_gives_a_proof_or_a_parse_error(text):
+    for parser, printer in (
+        (parse_focused_proof, print_focused_proof),
+        (parse_unfocused_proof, print_unfocused_proof),
+    ):
+        try:
+            proof = parser(text)
+        except ParseError:
+            continue
+        assert _same_tree(parser(printer(proof)), proof)
 
 
 # --- rejected inputs --------------------------------------------------------
@@ -128,6 +309,8 @@ def test_rendered_lines_stay_inside_96_columns(name, corpus_proofs):
         ("(fbang 0 (f1))", "fbang: expected (kept ...) with position numbers"),
         # finit never carries a kept list: leftovers are absorbed implicitly
         ("(finit (kept 1) 0)", "finit: expected a position number"),
+        # a digit that is not decimal, which int() cannot read
+        ("(finit ²)", "finit: expected a position number"),
     ],
 )
 def test_focused_parse_errors(text, needle):

@@ -117,6 +117,14 @@ def test_udecide_keeps_its_formula(sig):
     assert fproof_size(proof) == 4
 
 
+def test_counters_walk_spines_deeper_than_the_recursion_limit():
+    proof = FProof(FONE)
+    for k in range(19_999):
+        proof = FProof(BLUR, premises=(proof,)) if k % 2 else FProof(DECIDE, principal=0, premises=(proof,))
+    assert fproof_size(proof) == 20_000
+    assert count_decides(proof) == 10_000
+
+
 def test_blur_only_on_negative_focus(sig):
     goal = FSequent(parse_sequent("|- ~x").context, parse_formula("x"))
     rejects(sig, goal, FProof(BLUR, premises=(FIN0,)), Reason.BLUR_ON_POSITIVE)

@@ -171,6 +171,15 @@ def test_proof_statistics(sig):
     assert count_rule(proof, CONTR) == 0
 
 
+def test_statistics_walk_spines_deeper_than_the_recursion_limit():
+    proof = INIT_01
+    for k in range(20_000):
+        proof = UProof(CONTR if k % 4 == 0 else WEAK, principal=0, premises=(proof,))
+    assert proof_size(proof) == 20_001
+    assert count_rule(proof, CONTR) == 5_000
+    assert count_rule(proof, INIT) == 1
+
+
 SEARCH_CASES = [
     ("|- x, ~x", True, 1, 0),
     ("|- 1", True, 1, 0),
