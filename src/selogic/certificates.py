@@ -40,6 +40,8 @@ is linear in the text, and depth is not bounded by the recursion limit.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 from .focusing import FBANG, FINIT, FONE, FTENSOR, FProof
 from . import unfocused as uf
@@ -55,37 +57,36 @@ class _SList:
         self.col = col
 
 
+# One token per match, after any whitespace and ``;`` comments: a
+# parenthesis, a word (``\w`` is ``str.isalnum`` or ``_``), any other
+# character, which is an error, or the end of the text.  The end is a
+# match of its own, so a comment at the end is never backtracked into.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*(?:([()])|(\w+)|(.)|\Z)", re.S)
+
+
 def _lex(text: str, filename: str | None):
-    line, col = 1, 1
-    i = 0
     out = []
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            out.append((ch, ch, line, col))
-            i += 1
-            col += 1
-        elif ch.isdigit() or ch.islower() or ch == "_":
-            start, start_col = i, col
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            word = text[start:i]
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        if m.lastindex is None:
+            break
+        paren, word, bad = m.groups()
+        start = m.start(m.lastindex)
+        newlines = text.count("\n", pos, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", pos, start) + 1
+        pos = start
+        col = start - line_start + 1
+        if paren:
+            out.append((paren, paren, line, col))
+        elif word and (word[0].isdigit() or word[0].islower() or word[0] == "_"):
             if word.isascii() and word.isdigit():
-                out.append(("num", int(word), line, start_col))
+                out.append(("num", int(word), line, col))
             else:
-                out.append(("sym", word, line, start_col))
+                out.append(("sym", word, line, col))
         else:
+            ch = bad or word[0]
             raise ParseError(f"unexpected character {ch!r}", line, col, filename)
     return out
 

@@ -164,46 +164,70 @@ _BINOPS = {"star": Tensor, "pipe": Par, "plus": Plus, "amp": With}
 
 
 def _parse_formula(cur: _Cursor) -> Formula:
-    tok = cur.peek()
-    match tok.kind:
-        case "ident":
-            cur.next()
-            if not is_identifier(tok.text):
-                cur.fail_at(tok, f"malformed atom {tok.text!r}")
-            return Atom(tok.text)
-        case "tilde":
-            cur.next()
-            name = cur.expect("ident", "an atom after '~'")
-            if not is_identifier(name.text):
-                cur.fail_at(name, f"malformed atom {name.text!r}")
-            return NegAtom(name.text)
-        case "unit":
-            cur.next()
-            return ONE if tok.text == "1" else ZERO
-        case "reserved":
-            cur.next()
-            return BOT if tok.text == "bot" else TOP
-        case "bang" | "qm":
-            cur.next()
-            label = cur.expect("ident", f"a label after {tok.text!r}")
-            if not is_identifier(label.text):
-                cur.fail_at(label, f"malformed label {label.text!r}")
-            body = _parse_formula(cur)
-            return Bang(label.text, body) if tok.kind == "bang" else Qm(label.text, body)
-        case "lparen":
-            cur.next()
-            left = _parse_formula(cur)
-            op = cur.next()
-            ctor = _BINOPS.get(op.kind)
-            if ctor is None:
-                raise ParseError(
-                    f"expected a connective, found {op.text!r}", op.line, op.column, cur.filename
-                )
-            right = _parse_formula(cur)
-            cur.expect("rparen", "')'")
-            return ctor(left, right)
-    cur.fail(f"expected a formula, found {tok.text!r}" if tok.text else "expected a formula")
-    raise AssertionError  # unreachable
+    """Read one formula with an explicit stack, so nesting depth is unbounded.
+
+    ``pending`` holds the constructors still waiting for a subformula,
+    innermost last: a ``(label, ctor)`` prefix, an open parenthesis before
+    its left operand (``None``), or a ``[ctor, left]`` pair before its right
+    operand.  Tokens are read in the order of a recursive descent, so every
+    error names the same token.
+    """
+    pending: list = []
+    while True:
+        tok = cur.peek()
+        match tok.kind:
+            case "ident":
+                cur.next()
+                if not is_identifier(tok.text):
+                    cur.fail_at(tok, f"malformed atom {tok.text!r}")
+                f = Atom(tok.text)
+            case "tilde":
+                cur.next()
+                name = cur.expect("ident", "an atom after '~'")
+                if not is_identifier(name.text):
+                    cur.fail_at(name, f"malformed atom {name.text!r}")
+                f = NegAtom(name.text)
+            case "unit":
+                cur.next()
+                f = ONE if tok.text == "1" else ZERO
+            case "reserved":
+                cur.next()
+                f = BOT if tok.text == "bot" else TOP
+            case "bang" | "qm":
+                cur.next()
+                label = cur.expect("ident", f"a label after {tok.text!r}")
+                if not is_identifier(label.text):
+                    cur.fail_at(label, f"malformed label {label.text!r}")
+                pending.append((label.text, Bang if tok.kind == "bang" else Qm))
+                continue
+            case "lparen":
+                cur.next()
+                pending.append(None)
+                continue
+            case _:
+                cur.fail(f"expected a formula, found {tok.text!r}" if tok.text else "expected a formula")
+        # ``f`` is complete: hand it to the constructors waiting for it
+        while pending:
+            top = pending[-1]
+            if top is None:
+                op = cur.next()
+                ctor = _BINOPS.get(op.kind)
+                if ctor is None:
+                    raise ParseError(
+                        f"expected a connective, found {op.text!r}", op.line, op.column, cur.filename
+                    )
+                pending[-1] = [ctor, f]
+                break
+            pending.pop()
+            if isinstance(top, tuple):
+                label, ctor = top
+                f = ctor(label, f)
+            else:
+                cur.expect("rparen", "')'")
+                ctor, left = top
+                f = ctor(left, f)
+        else:
+            return f
 
 
 def parse_formula(text: str, filename: str | None = None) -> Formula:
@@ -215,33 +239,41 @@ def parse_formula(text: str, filename: str | None = None) -> Formula:
     return f
 
 
+class _Text(str):
+    """Literal text on the printer's stack, told apart from formulas."""
+
+
+_INFIX = {Tensor: _Text(" * "), Par: _Text(" | "), Plus: _Text(" + "), With: _Text(" & ")}
+_CLOSE = _Text(")")
+_UNITS = {One: "1", Zero: "0", Bot: "bot", Top: "top"}
+
+
 def print_formula(f: Formula) -> str:
-    match f:
-        case Atom(name):
-            return name
-        case NegAtom(name):
-            return f"~{name}"
-        case Tensor(a, b):
-            return f"({print_formula(a)} * {print_formula(b)})"
-        case Par(a, b):
-            return f"({print_formula(a)} | {print_formula(b)})"
-        case Plus(a, b):
-            return f"({print_formula(a)} + {print_formula(b)})"
-        case With(a, b):
-            return f"({print_formula(a)} & {print_formula(b)})"
-        case One():
-            return "1"
-        case Zero():
-            return "0"
-        case Bot():
-            return "bot"
-        case Top():
-            return "top"
-        case Bang(label, body):
-            return f"!{label} {print_formula(body)}"
-        case Qm(label, body):
-            return f"?{label} {print_formula(body)}"
-    raise TypeError(f"not a formula: {f!r}")
+    """The canonical text of ``f``; walks with an explicit stack."""
+    out: list[str] = []
+    # formulas still to print and literal text, next item last
+    todo: list = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is _Text:
+            out.append(g)
+            continue
+        kind = type(g)
+        if kind is Atom:
+            out.append(g.name)
+        elif kind is NegAtom:
+            out.append(f"~{g.name}")
+        elif kind in _INFIX:
+            out.append("(")
+            todo += (_CLOSE, g.right, _INFIX[kind], g.left)
+        elif kind in _UNITS:
+            out.append(_UNITS[kind])
+        elif kind is Bang or kind is Qm:
+            out.append(f"{'!' if kind is Bang else '?'}{g.label} ")
+            todo.append(g.body)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)
 
 
 # --- sequent files ----------------------------------------------------------

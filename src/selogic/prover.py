@@ -6,9 +6,23 @@ context is neutral it tries each decide flavour in a fixed order — ldecide,
 then udecide, then decide, positions left to right.  Under focus the rules
 are forced except for plus (two candidates) and tensor, which copies every
 unbounded question-marked formula to both premises and splits the remaining
-formulas between them.  Equal formulas are interchangeable, so the split
-tries one left premise per multiset: of k equal formulas, the first j go
-left, for each j from 0 to k.
+formulas between them.
+
+The split is lazy, after the input/output model of Hodas & Miller (*Logic
+Programming in a Fragment of Intuitionistic Linear Logic*, I&C 1994) and
+Cervesato, Hodas & Pfenning (*Efficient Resource Management for Linear
+Logic Proof Search*, TCS 2000): the left premise consumes what it needs and
+the right premise gets the leftovers.  The left focus is taken apart by a
+generator that yields each proof with the positions it consumed: an atom
+consumes one matching negated atom, 1 nothing, plus tries both sides, and
+a nested tensor hands its own leftovers from left to right.  Only fbang and
+blur, whose premises are searched strictly, must fix their context up
+front; they try one context per multiset of the formulas they may take,
+since equal formulas are interchangeable (of k equal ones, the first j, for
+each j from 0 to k).  The right premise is then searched on the copied
+formulas plus the leftovers, once per consumed multiset.  Each ftensor
+still lists its copied and left positions explicitly, relative to its own
+context, so certificates check as before.
 
 Because udecide keeps its formula, proofs can regress forever; the search
 is made terminating by a per-branch cap on decides, deepened iteratively
@@ -21,6 +35,8 @@ deterministic: the same call yields the same certificate.
 
 from __future__ import annotations
 
+from bisect import bisect
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .errors import CheckError
@@ -45,6 +61,8 @@ from .formulas import (
     Atom,
     Bang,
     Bot,
+    Context,
+    Formula,
     NegAtom,
     One,
     Par,
@@ -68,7 +86,7 @@ class SearchStats:
     nodes: int = 0
     deepest_decides: int = 0
     rounds: int = 0
-    splits: int = 0  # tensor splits tried
+    splits: int = 0  # left tensor outcomes handed to a right premise
     memo_hits: int = 0
 
 
@@ -148,9 +166,7 @@ class _Searcher:
         return context_key(self.table, fseq.context), focus
 
     def search(self, fseq: FSequent, budget: int, used: int) -> tuple[FProof | None, bool]:
-        self.stats.nodes += 1
-        if self.stats.nodes > self.max_nodes:
-            raise _NodeCap
+        self._count()
         if used > self.stats.deepest_decides:
             self.stats.deepest_decides = used
 
@@ -178,8 +194,7 @@ class _Searcher:
     ) -> tuple[FProof | None, bool]:
         """Search every premise of one rule application.
 
-        A premise is built only once the ones before it are proved: most
-        tensor splits fail at their left premise.
+        A premise is built only once the ones before it are proved.
         """
         subs = []
         for plan in fpremise_plans(self.sig, fseq, head):
@@ -264,23 +279,28 @@ class _Searcher:
                         return proof, False
                     any_cutoff = any_cutoff or cutoff
                 return None, any_cutoff
-            case Tensor():
+            case Tensor(left=first, right=second):
                 kept = tuple(
                     i
                     for i, g in enumerate(ctx)
                     if isinstance(g, Qm) and is_unbounded(self.sig, g.label)
                 )
-                rest = [i for i in range(len(ctx)) if i not in kept]
-                classes = [self.table[id(ctx[i])] for i in rest]
-                any_cutoff = False
-                for split in tensor_splits(rest, classes):
+                avail = [i for i in range(len(ctx)) if i not in kept]
+                cut = [False]
+                tried = set()
+                for left, taken in self._synchronous(ctx, kept, avail, first, budget, used, cut):
+                    key = context_key(self.table, [ctx[i] for i in taken])
+                    if key in tried:
+                        continue
+                    tried.add(key)
                     self.stats.splits += 1
-                    head = FProof(FTENSOR, split=split, kept=kept)
-                    proof, cutoff = self._expand(fseq, head, budget, used)
-                    if proof is not None:
-                        return proof, False
-                    any_cutoff = any_cutoff or cutoff
-                return None, any_cutoff
+                    rest = tuple(g for i, g in enumerate(ctx) if i not in taken)
+                    right, cutoff = self.search(FSequent(rest, second), budget, used)
+                    if right is not None:
+                        split = tuple(sorted(taken))
+                        return FProof(FTENSOR, split=split, kept=kept, premises=(left, right)), False
+                    cut[0] = cut[0] or cutoff
+                return None, cut[0]
             case Bang(label=label):
                 kept = tuple(
                     i
@@ -294,6 +314,85 @@ class _Searcher:
             case _:
                 # negative focus: release it and resume the invertible phase
                 return self._expand(fseq, FProof(BLUR), budget, used)
+
+    def _synchronous(
+        self,
+        ctx: Context,
+        kept: tuple[int, ...],
+        avail: list[int],
+        focus: Formula,
+        budget: int,
+        used: int,
+        cut: list[bool],
+    ) -> Iterator[tuple[FProof, tuple[int, ...]]]:
+        """Proofs of ``focus`` that take from ``avail`` what they need.
+
+        Yields ``(proof, taken)``: ``proof`` proves ``focus`` over the
+        positions ``kept`` and ``taken`` of ``ctx``, in context order, and
+        ``taken`` lists the positions of ``avail`` it consumed.  Synchronous
+        connectives take formulas lazily; only fbang and blur, whose
+        premises are searched strictly, try one premise context per
+        multiset of the formulas they may take.  A strict premise that
+        failed at a budget cutoff sets ``cut[0]``.
+        """
+        self._count()
+        match focus:
+            case Atom(name=name):
+                for i in avail:
+                    g = ctx[i]
+                    if isinstance(g, NegAtom) and g.name == name:
+                        yield FProof(FINIT, principal=bisect(kept, i)), (i,)
+                        return
+            case One():
+                yield FProof(FONE), ()
+            case Zero():
+                return
+            case Plus(left=a, right=b):
+                for rule, part in ((FPLUS1, a), (FPLUS2, b)):
+                    for proof, taken in self._synchronous(ctx, kept, avail, part, budget, used, cut):
+                        yield FProof(rule, premises=(proof,)), taken
+            case Tensor(left=a, right=b):
+                for left, taken_a in self._synchronous(ctx, kept, avail, a, budget, used, cut):
+                    rest = [i for i in avail if i not in taken_a]
+                    for right, taken_b in self._synchronous(ctx, kept, rest, b, budget, used, cut):
+                        taken = taken_a + taken_b
+                        rank = {p: r for r, p in enumerate(sorted(kept + taken))}
+                        head = FProof(
+                            FTENSOR,
+                            split=tuple(sorted(rank[i] for i in taken_a)),
+                            kept=tuple(rank[i] for i in kept),
+                            premises=(left, right),
+                        )
+                        yield head, taken
+            case Bang(label=label, body=body):
+                above = lambda i: isinstance(ctx[i], Qm) and leq(self.sig, label, ctx[i].label)
+                promoted = [i for i in kept if above(i)]
+                cands = [i for i in avail if above(i)]
+                classes = [self.table[id(ctx[i])] for i in cands]
+                for taken in tensor_splits(cands, classes):
+                    inner = sorted(promoted + list(taken))
+                    premise = FSequent(tuple(ctx[i] for i in inner) + (body,))
+                    proof, cutoff = self.search(premise, budget, used)
+                    if proof is None:
+                        cut[0] = cut[0] or cutoff
+                        continue
+                    rank = {p: r for r, p in enumerate(sorted(kept + taken))}
+                    yield FProof(FBANG, kept=tuple(rank[i] for i in inner), premises=(proof,)), taken
+            case _:
+                # negative: blur and search the rest of the premise strictly
+                classes = [self.table[id(ctx[i])] for i in avail]
+                for taken in tensor_splits(avail, classes):
+                    sub = tuple(ctx[i] for i in sorted(kept + taken))
+                    proof, cutoff = self.search(FSequent(sub + (focus,)), budget, used)
+                    if proof is None:
+                        cut[0] = cut[0] or cutoff
+                        continue
+                    yield FProof(BLUR, premises=(proof,)), taken
+
+    def _count(self) -> None:
+        self.stats.nodes += 1
+        if self.stats.nodes > self.max_nodes:
+            raise _NodeCap
 
     def _valid(self, fseq: FSequent, head: FProof) -> bool:
         try:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from selogic.certificates import (
+    _lex,
     parse_focused_proof,
     parse_unfocused_proof,
     print_focused_proof,
@@ -289,6 +290,81 @@ def test_fuzzed_text_gives_a_proof_or_a_parse_error(text):
         except ParseError:
             continue
         assert _same_tree(parser(printer(proof)), proof)
+
+
+def _char_lex(text):
+    """The character-at-a-time lexer that one regular expression replaced."""
+    line, col = 1, 1
+    i = 0
+    out = []
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            i += 1
+            col += 1
+        elif ch == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            out.append((ch, ch, line, col))
+            i += 1
+            col += 1
+        elif ch.isdigit() or ch.islower() or ch == "_":
+            start, start_col = i, col
+            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+                col += 1
+            word = text[start:i]
+            if word.isascii() and word.isdigit():
+                out.append(("num", int(word), line, start_col))
+            else:
+                out.append(("sym", word, line, start_col))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col, None)
+    return out
+
+
+# Characters the two lexers could read differently: whitespace they skip or
+# reject, comments, ASCII and other digits, upper- and lower-case letters
+# outside ASCII, title case, and letters that are neither.  Lower-case
+# characters that are not alphanumeric (the circled letters) are left out:
+# the character loop never advances past them.
+_LEX_PIECES = st.sampled_from(
+    ["(", ")", " ", "\t", "\r", "\n", "\x0b", "\xa0", ";", "; c (x)\n", "_", "a", "Z",
+     "0", "12", "9a", "\u00b2", "\u0663", "\u00e9", "\u00c9", "\u01c5", "\u00aa", "\u2170",
+     "\u05d0", "-", "[", "kept", "x_1"]
+)
+
+
+@given(st.lists(_LEX_PIECES, max_size=16).map("".join))
+def test_lexer_matches_the_character_loop(text):
+    try:
+        expected = _char_lex(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            _lex(text, None)
+        assert (got.value.message, got.value.line, got.value.column) == (
+            e.message, e.line, e.column,
+        )
+    else:
+        assert _lex(text, None) == expected
+
+
+def test_lexer_rejects_lower_case_symbols_that_are_not_letters():
+    # the character loop never returned on these
+    with pytest.raises(ParseError) as e:
+        parse_focused_proof("(f1 \u24d0)")
+    assert "unexpected character '\u24d0'" in str(e.value)
+    assert (e.value.line, e.value.column) == (1, 5)
+
+
+def test_comment_at_the_end_is_not_read():
+    assert parse_focused_proof("(f1) ; (f1) trailing words") == FProof(FONE)
+    assert parse_focused_proof("(f1)\n  \t") == FProof(FONE)
 
 
 # --- rejected inputs --------------------------------------------------------

@@ -125,3 +125,42 @@ def test_signature_order_entries_are_validated():
 def test_roundtrip_random_signatures(seed):
     s = random_signature(random.Random(seed))
     assert parse_signature(print_signature(s)) == s
+
+
+# --- deep input, under the default recursion limit -------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "!a " * 3000 + "x",
+        "(x * " * 3000 + "y" + ")" * 3000,
+        "(" * 2000 + "~x" + " & top)" * 2000,
+        "?u (!v " * 1500 + "1" + " | bot)" * 1500,
+    ],
+    ids=["bangs", "tensors", "withs", "question-marked pars"],
+)
+def test_deep_formulas_parse_and_print_back(text):
+    # compared as text: dataclass equality on formulas this deep recurses
+    f = parse_formula(text)
+    assert print_formula(f) == text
+    printed = print_sequent(Sequent((f, f)))
+    assert printed == f"{text}\n{text}\n"
+    assert print_sequent(parse_sequent(printed)) == printed
+
+
+@pytest.mark.parametrize(
+    "text,message,col",
+    [
+        ("(" * 2000, "expected a formula", 2001),
+        ("(" * 2000 + "x", "expected a connective, found ''", 2002),
+        ("(x * " * 2000 + "y", "expected ')'", 5 * 2000 + 2),
+        ("!a " * 3000, "expected a formula", 3 * 3000 + 1),
+    ],
+    ids=["open parentheses", "atom after open parentheses", "no closers", "bangs"],
+)
+def test_unclosed_deep_formulas_are_parse_errors(text, message, col):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text)
+    assert e.value.message == message
+    assert (e.value.line, e.value.column) == (1, col)

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selogic.corpus import load_corpus
-from selogic.focusing import FSequent, check_focused
+from selogic.certificates import print_focused_proof
+from selogic.focusing import FSequent, check_focused, defocus
 from selogic.generators import random_context, random_signature
 from selogic.minsky import Halted, run
 from selogic.formulas import Sequent
-from selogic.parsing import parse_sequent, print_sequent
+from selogic.parsing import parse_formula, parse_sequent, print_sequent
 from selogic.prover import Exhausted, Proved, prove_focused
 from selogic.reduction import encode_halting
-from selogic.unfocused import tensor_splits
+from selogic.unfocused import check_unfocused, tensor_splits
 
 # max_decides per corpus goal: trace length plus the register sum at the
 # halt step plus three, a bound the canonical certificates stay inside
@@ -207,10 +208,82 @@ def test_equal_formulas_as_distinct_objects_prove_alike():
 
 
 def test_drain_a_at_three_stays_under_its_node_count():
-    # splitting by multiplicity cut this from 13 788 nodes
+    # splitting by multiplicity cut this from 13 788 nodes to 10 257, and
+    # lazy tensor splitting to 2 412
     m, init = load_corpus("drain_a")
     assert init.a == 3
     bundle = encode_halting(m, init)
     out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=8)
     assert isinstance(out, Proved)
-    assert out.stats.nodes <= 10_257
+    assert out.stats.nodes <= 2_412
+
+
+def test_drain_a_at_twenty_is_proved_within_the_default_node_cap():
+    m, init = load_corpus("drain_a")
+    bundle = encode_halting(m, dataclasses.replace(init, a=20))
+    goal = FSequent(bundle.goal)
+    out = prove_focused(bundle.signature, goal, max_decides=25)
+    assert isinstance(out, Proved)
+    check_focused(bundle.signature, goal, out.proof)
+    assert out.stats.rounds == 25
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_shuffled_context_proves_alike(seed):
+    rng = random.Random(seed)
+    s = random_signature(rng)
+    ctx = list(random_context(rng, s))
+    shuffled = ctx[:]
+    rng.shuffle(shuffled)
+    a = prove_focused(s, FSequent(tuple(ctx)), max_decides=5, max_nodes=20_000)
+    b = prove_focused(s, FSequent(tuple(shuffled)), max_decides=5, max_nodes=20_000)
+    if any(isinstance(out, Exhausted) and out.hit_node_cap for out in (a, b)):
+        return  # one order ran out of nodes first; nothing to compare
+    assert type(a) is type(b)
+    if isinstance(a, Proved):
+        assert a.stats.rounds == b.stats.rounds
+        check_focused(s, FSequent(tuple(shuffled)), b.proof)
+
+
+# Every ftensor lists positions of its own context, which holds the copied
+# ?inf formulas and only the linear ones it consumed.  In the second case
+# the nested tensor is a left premise, taken apart lazily, and ~d goes to
+# the outer right premise, so the inner lists are shifted against the goal.
+NESTED_CASES = [
+    (
+        "|- ?inf ~q, ~b, ?inf (x & y), ?u ~c, ~a",
+        "(a * (b * !u c))",
+        """\
+(ftensor (kept 0 2) (left 4)
+  (finit 2)
+  (ftensor (kept 0 2) (left 1)
+    (finit 1)
+    (fbang (kept 0 1 2) (ldecide 2 (blur (decide 2 (finit 2)))))))
+""",
+    ),
+    (
+        "|- ?inf ~q, ~d, ~b, ?inf (x & y), ?u ~c, ~a",
+        "((a * (b * !u c)) * d)",
+        """\
+(ftensor (kept 0 3) (left 2 4 5)
+  (ftensor (kept 0 2) (left 4)
+    (finit 2)
+    (ftensor (kept 0 2) (left 1)
+      (finit 1)
+      (fbang (kept 0 1 2) (ldecide 2 (blur (decide 2 (finit 2)))))))
+  (finit 1))
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("context,focus,text", NESTED_CASES, ids=["right-nested", "left-nested"])
+def test_nested_tensor_lists_check_in_both_calculi(sig, context, focus, text):
+    ctx = parse_sequent(context).context
+    goal = FSequent(ctx, parse_formula(focus))
+    out = prove_focused(sig, goal, max_decides=4)
+    assert isinstance(out, Proved)
+    assert print_focused_proof(out.proof) == text
+    check_focused(sig, goal, out.proof)
+    check_unfocused(sig, Sequent(ctx + (goal.focus,)), defocus(out.proof, sig, goal))
