@@ -30,7 +30,7 @@ from .errors import (
     SignatureError,
     TraceMismatch,
 )
-from .focusing import FSequent, check_focused, count_decides, defocus, fproof_size
+from .focusing import FSequent, check_focused, count_decides, defocus
 from .formulas import Sequent
 from .generators import random_context, random_signature
 from .minsky import Halted, OutOfFuel, Stuck, load_machine, print_trace, run
@@ -109,7 +109,7 @@ def cmd_prove(args) -> int:
     if isinstance(result, Proved):
         print("outcome: proved")
         print(f"proof-decides: {count_decides(result.proof)}")
-        print(f"proof-size: {fproof_size(result.proof)}")
+        print(f"proof-size: {proof_size(result.proof)}")
         print(f"nodes: {result.stats.nodes}")
         print(f"rounds: {result.stats.rounds}")
         if args.proof_out:
@@ -136,7 +136,7 @@ def cmd_check(args) -> int:
         if args.calculus == "focused":
             fproof = parse_focused_proof(text, args.proof)
             check_focused(sig, FSequent(seq.context), fproof)
-            size = fproof_size(fproof)
+            size = proof_size(fproof)
         else:
             uproof = parse_unfocused_proof(text, args.proof)
             check_unfocused(sig, seq, uproof)
@@ -193,7 +193,7 @@ def cmd_synthesize(args) -> int:
     print("outcome: synthesized")
     print(f"steps: {len(trace)}")
     print(f"proof-decides: {count_decides(proof)}")
-    print(f"proof-size: {fproof_size(proof)}")
+    print(f"proof-size: {proof_size(proof)}")
     if args.proof_out:
         _write(args.proof_out, print_focused_proof(proof), "proof-file")
     return 0

@@ -58,24 +58,6 @@ FBANG = "fbang"
 
 DECIDE_RULES = (DECIDE, LDECIDE, UDECIDE)
 
-FARITY = {
-    FINIT: 0,
-    FONE: 0,
-    uf.TOP_RULE: 0,
-    FTENSOR: 2,
-    uf.WITH: 2,
-    FPLUS1: 1,
-    FPLUS2: 1,
-    FBANG: 1,
-    BLUR: 1,
-    DECIDE: 1,
-    LDECIDE: 1,
-    UDECIDE: 1,
-    uf.PAR: 1,
-    uf.BOT_RULE: 1,
-}
-
-
 @dataclass(frozen=True, slots=True)
 class FSequent:
     context: Context
@@ -145,8 +127,6 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[FPlan]:
     focus = fseq.focus
     n = len(ctx)
     rule = node.rule
-    if rule not in FARITY:
-        _fail(Reason.CONTEXT_MISMATCH, f"unknown rule tag {rule!r}")
 
     def principal() -> Formula:
         p = node.principal
@@ -270,7 +250,8 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[FPlan]:
             require_no_focus()
             plans = uf.premise_plans(sig, ctx, UProof(rule, principal=node.principal))
             return [(plan, None) for plan in plans]
-    raise AssertionError  # unreachable
+        case _:
+            _fail(Reason.CONTEXT_MISMATCH, f"unknown rule tag {rule!r}")
 
 
 def fpremises_of(sig: Signature, fseq: FSequent, node: FProof) -> tuple[FSequent, ...]:
@@ -282,30 +263,17 @@ def check_focused(sig: Signature, goal: FSequent, proof: FProof) -> None:
     validate_labels(sig, goal.context)
     if goal.focus is not None:
         validate_labels(sig, (goal.focus,))
-    _check(sig, goal, proof, ())
+    for _ in checked_nodes(sig, goal, proof):
+        pass
 
 
-def _check(sig: Signature, fseq: FSequent, node: FProof, path: tuple[int, ...]) -> None:
-    try:
-        plans = fpremise_plans(sig, fseq, node)
-    except CheckError as e:
-        raise CheckError(e.reason, e.message, path) from None
-    if len(node.premises) != len(plans):
-        raise CheckError(
-            Reason.ARITY_MISMATCH,
-            f"{node.rule} expects {len(plans)} premise(s), certificate has {len(node.premises)}",
-            path,
-        )
-    for k, (plan, sub) in enumerate(zip(plans, node.premises)):
-        _check(sig, fmaterialize(fseq, plan), sub, path + (k,))
+def checked_nodes(sig: Signature, goal: FSequent, proof: FProof):
+    """:func:`~selogic.unfocused.checked_nodes` over the focused rules."""
+    return uf.checked_nodes(sig, fpremise_plans, fmaterialize, goal, proof)
 
 
 def count_decides(proof: FProof) -> int:
     return sum(1 for node in uf.proof_nodes(proof) if node.rule in DECIDE_RULES)
-
-
-def fproof_size(proof: FProof) -> int:
-    return uf.proof_size(proof)
 
 
 # --- defocusing -------------------------------------------------------------
@@ -317,6 +285,13 @@ def fproof_size(proof: FProof) -> int:
 # and ("f",) for the focus.  Every emitted unfocused node recomputes the
 # premise context through the unfocused premise plans, so the result checks
 # by construction.
+#
+# One pass of the checking walk visits the focused nodes in pre-order with
+# their sequents.  At each node :func:`_defocus` emits a chain of unfocused
+# rule heads, the last of which takes the translated premises, and the
+# (unfocused context, slots) pair of each premise; those pairs sit on a
+# stack that the walk pops in the same order.  The unfocused tree is then
+# assembled bottom-up in reverse pre-order, so nothing recurses.
 
 def defocus(proof: FProof, sig: Signature, goal: FSequent) -> UProof:
     """Translate a checkable focused certificate into an unfocused one.
@@ -324,14 +299,30 @@ def defocus(proof: FProof, sig: Signature, goal: FSequent) -> UProof:
     The underlying unfocused sequent is the goal context with the focus, if
     any, appended.  Decides vanish or become contraction/dereliction pairs,
     and the weakenings folded into finit/f1/fbang/ftensor become explicit
-    weakening chains.  The caller is expected to have checked the focused
-    certificate first.
+    weakening chains.  The focused certificate is checked on the way;
+    a rejected one raises :class:`CheckError`.
     """
     u_ctx = goal.context + ((goal.focus,) if goal.focus is not None else ())
     slots = [("c", i) for i in range(len(goal.context))]
     if goal.focus is not None:
         slots.append(("f",))
-    return _defocus(sig, goal, proof, u_ctx, slots)
+    states = [(u_ctx, slots)]
+    order = []
+    for node, fseq, _ in checked_nodes(sig, goal, proof):
+        chain, premise_states = _defocus(sig, fseq, node, *states.pop())
+        order.append((chain, len(premise_states)))
+        states.extend(reversed(premise_states))
+    # In reverse pre-order every node comes after all of its descendants,
+    # and its left premise's translation lands on top of its right one's.
+    built: list[UProof] = []
+    for chain, arity in reversed(order):
+        subs = ()
+        for _ in range(arity):
+            subs += (built.pop(),)
+        for head in reversed(chain):
+            subs = (replace(head, premises=subs) if subs else head,)
+        built.append(subs[0])
+    return built[0]
 
 
 def _slot_pos(slots: list, tag: tuple) -> int:
@@ -349,18 +340,21 @@ def _defocus(
     node: FProof,
     u_ctx: Context,
     slots: list,
-) -> UProof:
+) -> tuple[list[UProof], list[tuple[Context, list]]]:
+    """Translate one focused node: its unfocused heads and premise states.
+
+    An empty chain passes the single premise's translation through.
+    """
     assert len(u_ctx) == len(slots)
     for j, tag in enumerate(slots):
         if tag[0] == "f":
-            assert u_ctx[j] == fseq.focus
+            assert u_ctx[j] is fseq.focus
         else:
-            assert u_ctx[j] == fseq.context[tag[1]]
+            assert u_ctx[j] is fseq.context[tag[1]]
 
     ctx = fseq.context
     n = len(ctx)
     rule = node.rule
-    prem_fseqs = fpremises_of(sig, fseq, node)
 
     def renumber(tag, removed: int):
         """Context index shift after dropping focused-context position ``removed``."""
@@ -372,56 +366,43 @@ def _defocus(
         case "decide":
             i = node.principal
             sub_slots = [("f",) if t == ("c", i) else renumber(t, i) for t in slots]
-            return _defocus(sig, prem_fseqs[0], node.premises[0], u_ctx, sub_slots)
+            return [], [(u_ctx, sub_slots)]
         case "ldecide":
             i = node.principal
-            p = _slot_pos(slots, ("c", i))
-            head = UProof(uf.QM, principal=p)
-            prem = _apply(sig, u_ctx, head)
+            head = UProof(uf.QM, principal=_slot_pos(slots, ("c", i)))
             sub_slots = [("f",) if t == ("c", i) else renumber(t, i) for t in slots]
-            sub = _defocus(sig, prem_fseqs[0], node.premises[0], prem, sub_slots)
-            return replace(head, premises=(sub,))
+            return [head], [(_apply(sig, u_ctx, head), sub_slots)]
         case "udecide":
-            i = node.principal
-            p = _slot_pos(slots, ("c", i))
+            p = _slot_pos(slots, ("c", node.principal))
             contr = UProof(uf.CONTR, principal=p)
-            after_contr = _apply(sig, u_ctx, contr)
             qm = UProof(uf.QM, principal=p + 1)
-            after_qm = _apply(sig, after_contr, qm)
-            sub_slots = slots[: p + 1] + [("f",)] + slots[p + 1 :]
-            sub = _defocus(sig, prem_fseqs[0], node.premises[0], after_qm, sub_slots)
-            return replace(contr, premises=(replace(qm, premises=(sub,)),))
+            after_qm = _apply(sig, _apply(sig, u_ctx, contr), qm)
+            return [contr, qm], [(after_qm, slots[: p + 1] + [("f",)] + slots[p + 1 :])]
         case "blur":
-            sub_slots = [("c", n) if t == ("f",) else t for t in slots]
-            return _defocus(sig, prem_fseqs[0], node.premises[0], u_ctx, sub_slots)
+            return [], [(u_ctx, [("c", n) if t == ("f",) else t for t in slots])]
         case "finit":
             keep_tags = {("f",), ("c", node.principal)}
             chain, _, final_slots = _weak_away(sig, u_ctx, slots, keep_tags)
             atom_pos = _slot_pos(final_slots, ("f",))
             neg_pos = _slot_pos(final_slots, ("c", node.principal))
-            return _wrap(chain, UProof(uf.INIT, pair=(atom_pos, neg_pos)))
+            return chain + [UProof(uf.INIT, pair=(atom_pos, neg_pos))], []
         case "f1":
             chain, _, _ = _weak_away(sig, u_ctx, slots, {("f",)})
-            return _wrap(chain, UProof(uf.ONE_RULE))
+            return chain + [UProof(uf.ONE_RULE)], []
         case "fplus1" | "fplus2":
             p = _slot_pos(slots, ("f",))
             head = UProof(uf.PLUS1 if rule == "fplus1" else uf.PLUS2, principal=p)
-            prem = _apply(sig, u_ctx, head)
-            sub = _defocus(sig, prem_fseqs[0], node.premises[0], prem, list(slots))
-            return replace(head, premises=(sub,))
+            return [head], [(_apply(sig, u_ctx, head), slots)]
         case "fbang":
             kept = sorted(node.kept)
             keep_tags = {("f",)} | {("c", i) for i in kept}
             chain, cur_ctx, cur_slots = _weak_away(sig, u_ctx, slots, keep_tags)
-            p = _slot_pos(cur_slots, ("f",))
-            head = UProof(uf.BANG, principal=p)
-            prem = _apply(sig, cur_ctx, head)
+            head = UProof(uf.BANG, principal=_slot_pos(cur_slots, ("f",)))
             rank = {i: r for r, i in enumerate(kept)}
             sub_slots = [
                 ("c", len(kept)) if t == ("f",) else ("c", rank[t[1]]) for t in cur_slots
             ]
-            sub = _defocus(sig, prem_fseqs[0], node.premises[0], prem, sub_slots)
-            return _wrap(chain, replace(head, premises=(sub,)))
+            return chain + [head], [(_apply(sig, cur_ctx, head), sub_slots)]
         case "ftensor":
             kept = sorted(node.kept)
             split = set(node.split)
@@ -442,7 +423,6 @@ def _defocus(
             )
             head = UProof(uf.TENSOR, principal=fpos, split=left_positions)
             plans = uf.premise_plans(sig, cur_ctx, head)
-            prem_ctxs = [uf.materialize(cur_ctx, plan) for plan in plans]
             sides = []
             for k, members in enumerate((sorted(set(kept) | split), sorted(set(kept) | rest))):
                 rank = {i: r for r, i in enumerate(members)}
@@ -453,18 +433,13 @@ def _defocus(
                     else:
                         t = cur_slots[src[1]]
                         side_slots.append(("c", rank[t[1]]))
-                sides.append(side_slots)
-            sub_left = _defocus(sig, prem_fseqs[0], node.premises[0], prem_ctxs[0], sides[0])
-            sub_right = _defocus(sig, prem_fseqs[1], node.premises[1], prem_ctxs[1], sides[1])
-            return _wrap(chain, replace(head, premises=(sub_left, sub_right)))
+                sides.append((uf.materialize(cur_ctx, plans[k]), side_slots))
+            return chain + [head], sides
         case "par" | "bot" | "with" | "top":
             i = node.principal
-            p = _slot_pos(slots, ("c", i))
-            head = UProof(rule, principal=p)
-            plans = uf.premise_plans(sig, u_ctx, head)
-            subs = []
-            for k, plan in enumerate(plans):
-                prem = uf.materialize(u_ctx, plan)
+            head = UProof(rule, principal=_slot_pos(slots, ("c", i)))
+            sides = []
+            for plan in uf.premise_plans(sig, u_ctx, head):
                 sub_slots = []
                 for src in plan:
                     if src[0] == "part":
@@ -481,8 +456,8 @@ def _defocus(
                             sub_slots.append(("c", t[1] - 1))
                         else:
                             sub_slots.append(t)
-                subs.append(_defocus(sig, prem_fseqs[k], node.premises[k], prem, sub_slots))
-            return replace(head, premises=tuple(subs))
+                sides.append((uf.materialize(u_ctx, plan), sub_slots))
+            return [head], sides
     raise AssertionError(f"unhandled rule {rule!r}")
 
 
@@ -499,9 +474,3 @@ def _weak_away(
         chain.append(head)
     return chain, cur_ctx, cur_slots
 
-
-def _wrap(chain: list[UProof], inner: UProof) -> UProof:
-    proof = inner
-    for head in reversed(chain):
-        proof = replace(head, premises=(proof,))
-    return proof

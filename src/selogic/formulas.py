@@ -139,13 +139,16 @@ def polarity(f: Formula) -> Polarity:
 
 def labels_of(f: Formula) -> frozenset[str]:
     """All subexponential labels occurring in the formula."""
-    match f:
-        case Bang(label, body) | Qm(label, body):
-            return labels_of(body) | {label}
-        case Tensor(a, b) | Par(a, b) | Plus(a, b) | With(a, b):
-            return labels_of(a) | labels_of(b)
-        case _:
-            return frozenset()
+    labels = set()
+    pending = [f]
+    while pending:
+        g = pending.pop()
+        if isinstance(g, (Bang, Qm)):
+            labels.add(g.label)
+            pending.append(g.body)
+        elif isinstance(g, (Tensor, Par, Plus, With)):
+            pending += (g.left, g.right)
+    return frozenset(labels)
 
 
 def _shape(f: Formula) -> tuple[str | None, tuple[Formula, ...]]:

@@ -43,6 +43,7 @@ from .focusing import (
     UDECIDE,
     FProof,
     FSequent,
+    checked_nodes,
     fpremises_of,
 )
 from .formulas import ONE, Atom, Bang, Context, Formula, NegAtom, Par, Qm, Tensor
@@ -169,6 +170,12 @@ class _Builder:
     ill-formed certificate — it fails loudly instead.  The context suffix
     after the table is tracked as a tag list: "a"/"b" for register tokens,
     "s" for the state atom's negation, "h" for the halt token.
+
+    The certificate is one spine: every node on it continues the run in its
+    last premise, and only closed side branches hang off to the left.  The
+    steps append their spine nodes in order, and :meth:`certificate` folds
+    them from the closing leaf upward, so run length does not meet the
+    recursion limit.
     """
 
     def __init__(self, bundle: ReductionBundle):
@@ -176,69 +183,57 @@ class _Builder:
         self.sig = bundle.signature
         self.k = len(bundle.table)
         self.element_at = {e: bundle.entry_elements[i] for i, e in enumerate(bundle.machine.entries)}
+        # (node, closed left premises) from the root down
+        self.spine: list[tuple[FProof, tuple[FProof, ...]]] = []
+
+    def _push(self, fseq: FSequent, head: FProof, *left: FProof) -> FSequent:
+        """Put ``head`` on the spine; the sequent of its last premise."""
+        self.spine.append((head, left))
+        return fpremises_of(self.sig, fseq, head)[-1]
 
     def _apply1(self, fseq: FSequent, head: FProof) -> FSequent:
         (prem,) = fpremises_of(self.sig, fseq, head)
         return prem
 
-    def running(self, fseq: FSequent, tail: list[str], fired: Sequence[Entry]) -> FProof:
-        e, rest = fired[0], fired[1:]
-        ud = FProof(UDECIDE, principal=self.element_at[e])
-        fseq1 = self._apply1(fseq, ud)
-        s_pos = self.k + tail.index("s")
+    def certificate(self, fired: Sequence[Entry]) -> FProof:
+        init = self.bundle.init
+        tail = ["a"] * init.a + ["b"] * init.b + ["s"]
+        fseq = FSequent(self.bundle.goal)
+        for e in fired:
+            fseq, tail = self._fire(fseq, tail, e)
+        # burn leftover register tokens after the halt element fired
+        for tok, element in (("a", self.bundle.drain_a), ("b", self.bundle.drain_b)):
+            while tok in tail:
+                fseq = self._push(fseq, FProof(UDECIDE, principal=element))
+                fseq, tail = self._spend(fseq, tail, "h", tok)
+        fseq = self._push(fseq, FProof(UDECIDE, principal=self.bundle.finisher))
+        t = FProof(FTENSOR, kept=(), split=(self.k + tail.index("h"),))
+        fseq = self._push(fseq, t, FProof(FINIT, principal=0))
+        fseq = self._push(fseq, FProof(FBANG, kept=()))
+        self._push(fseq, FProof(DECIDE, principal=0))
+        proof = FProof(FONE)
+        for head, left in reversed(self.spine):
+            proof = _w(head, *left, proof)
+        return proof
+
+    def _fire(self, fseq: FSequent, tail: list[str], e: Entry) -> tuple[FSequent, list[str]]:
+        fseq = self._push(fseq, FProof(UDECIDE, principal=self.element_at[e]))
+        if e.instruction in ("decra", "decrb"):
+            return self._spend(fseq, tail, "s", "a" if e.instruction == DECRA else "b")
+        t = FProof(FTENSOR, kept=(), split=(self.k + tail.index("s"),))
+        rf = self._push(fseq, t, FProof(FINIT, principal=0))
+        tail = [x for x in tail if x != "s"]
         match e.instruction:
             case "incra" | "incrb":
-                tok = "a" if e.instruction == INCRA else "b"
-                t = FProof(FTENSOR, kept=(), split=(s_pos,))
-                _, rf = fpremises_of(self.sig, fseq1, t)
-                blur = FProof(BLUR)
-                rf = self._apply1(rf, blur)
-                par = FProof(PAR, principal=len(rf.context) - 1)
-                rf = self._apply1(rf, par)
-                tail = [x for x in tail if x != "s"] + ["s", tok]
-                sub = self.running(rf, tail, rest)
-                return _w(ud, _w(t, FProof(FINIT, principal=0), _w(blur, _w(par, sub))))
-            case "decra" | "decrb":
-                tok = "a" if e.instruction == DECRA else "b"
-                assemble, rf, tail = self._spend(fseq1, tail, "s", tok)
-                return _w(ud, assemble(self.running(rf, tail, rest)))
+                rf = self._push(rf, FProof(BLUR))
+                rf = self._push(rf, FProof(PAR, principal=len(rf.context) - 1))
+                return rf, tail + ["s", "a" if e.instruction == INCRA else "b"]
             case "isza" | "iszb":
-                t = FProof(FTENSOR, kept=(), split=(s_pos,))
-                _, rf = fpremises_of(self.sig, fseq1, t)
-                bang = FProof(FBANG, kept=tuple(range(len(rf.context))))
-                rf = self._apply1(rf, bang)
-                tail = [x for x in tail if x != "s"] + ["s"]
-                sub = self.running(rf, tail, rest)
-                return _w(ud, _w(t, FProof(FINIT, principal=0), _w(bang, sub)))
+                rf = self._push(rf, FProof(FBANG, kept=tuple(range(len(rf.context)))))
+                return rf, tail + ["s"]
             case "halt":
-                t = FProof(FTENSOR, kept=(), split=(s_pos,))
-                _, rf = fpremises_of(self.sig, fseq1, t)
-                blur = FProof(BLUR)
-                rf = self._apply1(rf, blur)
-                tail = [x for x in tail if x != "s"] + ["h"]
-                sub = self.drain(rf, tail)
-                return _w(ud, _w(t, FProof(FINIT, principal=0), _w(blur, sub)))
+                return self._push(rf, FProof(BLUR)), tail + ["h"]
         raise AssertionError(f"unknown instruction {e.instruction!r}")
-
-    def drain(self, fseq: FSequent, tail: list[str]) -> FProof:
-        """Burn leftover register tokens after the halt element fired."""
-        if "a" in tail:
-            ud = FProof(UDECIDE, principal=self.bundle.drain_a)
-            assemble, rf, tail = self._spend(self._apply1(fseq, ud), tail, "h", "a")
-            return _w(ud, assemble(self.drain(rf, tail)))
-        if "b" in tail:
-            ud = FProof(UDECIDE, principal=self.bundle.drain_b)
-            assemble, rf, tail = self._spend(self._apply1(fseq, ud), tail, "h", "b")
-            return _w(ud, assemble(self.drain(rf, tail)))
-        ud = FProof(UDECIDE, principal=self.bundle.finisher)
-        fseq1 = self._apply1(fseq, ud)
-        t = FProof(FTENSOR, kept=(), split=(self.k + tail.index("h"),))
-        _, rf = fpremises_of(self.sig, fseq1, t)
-        bang = FProof(FBANG, kept=())
-        rf = self._apply1(rf, bang)
-        dec = FProof(DECIDE, principal=0)
-        closer = _w(bang, _w(dec, FProof(FONE)))
-        return _w(ud, _w(t, FProof(FINIT, principal=0), closer))
 
     def _spend(self, fseq: FSequent, tail: list[str], anchor: str, tok: str):
         """Shared shape of decrements and drains: a nested tensor consumes
@@ -253,17 +248,13 @@ class _Builder:
         inner = FProof(FTENSOR, kept=(), split=(left_tail.index(anchor),))
         _, lrf = fpremises_of(self.sig, lf, inner)
         left = _w(inner, FProof(FINIT, principal=0), self._consume_token(lrf))
-        blur = FProof(BLUR)
-        rf = self._apply1(rf, blur)
+        self.spine.append((outer, (left,)))
+        rf = self._push(rf, FProof(BLUR))
         new_tail = list(tail)
         new_tail.remove(tok)
         new_tail.remove(anchor)
         new_tail.append(anchor)
-
-        def assemble(sub: FProof) -> FProof:
-            return _w(outer, left, _w(blur, sub))
-
-        return assemble, rf, new_tail
+        return rf, new_tail
 
     def _consume_token(self, fseq: FSequent) -> FProof:
         """Close the promotion side of a decrement: the focused bang keeps
@@ -306,8 +297,7 @@ def proof_from_trace(bundle: ReductionBundle, trace: Sequence[str]) -> FProof:
         _, c = step(m, c)
     if c != target:
         raise TraceMismatch("trace stops before the halting configuration")
-    tail = ["a"] * bundle.init.a + ["b"] * bundle.init.b + ["s"]
-    return _Builder(bundle).running(FSequent(bundle.goal), tail, fired)
+    return _Builder(bundle).certificate(fired)
 
 
 def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
@@ -324,29 +314,31 @@ def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
     names: list[str | None] = [e.instruction for e in bundle.machine.entries]
     names += [None] * (len(bundle.table) - len(names))
 
-    def walk(fseq: FSequent, node: FProof) -> list[str]:
-        here: list[str] = []
-        if node.rule == UDECIDE:
-            f = fseq.context[node.principal]
-            try:
-                j = wrapped.index(f)
-            except ValueError:
-                raise MalformedCertificate(
-                    "udecide focuses a formula outside the instruction table"
-                ) from None
-            if names[j] is not None:
-                here.append(names[j])
-        branches = [
-            walk(prem, sub)
-            for prem, sub in zip(fpremises_of(sig, fseq, node), node.premises)
-        ]
-        tails = [b for b in branches if b]
-        if len(tails) > 1:
-            raise MalformedCertificate("instruction steps spread across parallel branches")
-        return here + (tails[0] if tails else [])
-
+    # per node, the pre-order index of its nearest ancestor-or-self that
+    # carries a mnemonic (-1 for none); the mnemonics lie on one spine
+    # exactly when each one's nearest such ancestor is the previous one
+    nearest: list[int] = []
+    last = -1
+    out: list[str] = []
     try:
-        out = walk(FSequent(bundle.goal), proof)
+        walk = checked_nodes(sig, FSequent(bundle.goal), proof)
+        for i, (node, fseq, parent) in enumerate(walk):
+            here = nearest[parent] if parent >= 0 else -1
+            if node.rule == UDECIDE:
+                try:
+                    j = wrapped.index(fseq.context[node.principal])
+                except ValueError:
+                    raise MalformedCertificate(
+                        "udecide focuses a formula outside the instruction table"
+                    ) from None
+                if names[j] is not None:
+                    if here != last:
+                        raise MalformedCertificate(
+                            "instruction steps spread across parallel branches"
+                        )
+                    out.append(names[j])
+                    here = last = i
+            nearest.append(here)
     except CheckError as e:
         raise MalformedCertificate(f"not a certificate for this goal: {e}") from None
     if not out or out[-1] != HALT:

@@ -65,23 +65,6 @@ BANG = "bang"
 WEAK = "weak"
 CONTR = "contr"
 
-ARITY = {
-    INIT: 0,
-    ONE_RULE: 0,
-    TOP_RULE: 0,
-    TENSOR: 2,
-    WITH: 2,
-    PLUS1: 1,
-    PLUS2: 1,
-    PAR: 1,
-    BOT_RULE: 1,
-    QM: 1,
-    BANG: 1,
-    WEAK: 1,
-    CONTR: 1,
-}
-
-
 @dataclass(frozen=True, slots=True)
 class UProof:
     """One node of an unfocused certificate.
@@ -132,13 +115,11 @@ def _fail(reason: Reason, message: str):
 def premise_plans(sig: Signature, ctx: Context, node: UProof) -> list[Plan]:
     """Validate one rule application and lay out its premise contexts.
 
-    Raises :class:`CheckError` (with an empty path; the recursive checker
+    Raises :class:`CheckError` (with an empty path; :func:`checked_nodes`
     fills it in) when the node does not apply to ``ctx``.
     """
     n = len(ctx)
     rule = node.rule
-    if rule not in ARITY:
-        _fail(Reason.CONTEXT_MISMATCH, f"unknown rule tag {rule!r}")
 
     def principal() -> Formula:
         p = node.principal
@@ -243,7 +224,8 @@ def premise_plans(sig: Signature, ctx: Context, node: UProof) -> list[Plan]:
             right = sorted((others - split) | {p})
             plan = lambda poss, k: [("part", p, k) if i == p else ("keep", i) for i in poss]
             return [plan(left, 0), plan(right, 1)]
-    raise AssertionError  # unreachable
+        case _:
+            _fail(Reason.CONTEXT_MISMATCH, f"unknown rule tag {rule!r}")
 
 
 def premises_of(sig: Signature, ctx: Context, node: UProof) -> tuple[Context, ...]:
@@ -260,22 +242,55 @@ def validate_labels(sig: Signature, ctx: Context) -> None:
 def check_unfocused(sig: Signature, goal: Sequent, proof: UProof) -> None:
     """Accept or reject a certificate; raises :class:`CheckError` to reject."""
     validate_labels(sig, goal.context)
-    _check(sig, goal.context, proof, ())
+    for _ in checked_nodes(sig, premise_plans, materialize, goal.context, proof):
+        pass
 
 
-def _check(sig: Signature, ctx: Context, node: UProof, path: tuple[int, ...]) -> None:
-    try:
-        plans = premise_plans(sig, ctx, node)
-    except CheckError as e:
-        raise CheckError(e.reason, e.message, path) from None
-    if len(node.premises) != len(plans):
-        raise CheckError(
-            Reason.ARITY_MISMATCH,
-            f"{node.rule} expects {len(plans)} premise(s), certificate has {len(node.premises)}",
-            path,
-        )
-    for k, (plan, sub) in enumerate(zip(plans, node.premises)):
-        _check(sig, materialize(ctx, plan), sub, path + (k,))
+def checked_nodes(sig: Signature, plans_of, materialize_plan, goal, proof):
+    """Check a certificate node by node, yielding ``(node, sequent, parent)``.
+
+    The one walk behind both checkers, defocusing and trace extraction:
+    ``plans_of`` is :func:`premise_plans` or the focused
+    ``fpremise_plans``, ``materialize_plan`` the matching materializer, and
+    ``goal`` the root's context or focused sequent.  Nodes come in
+    pre-order, left premise first, each after its rule and arity have been
+    validated; ``parent`` is the pre-order index of the parent node, -1 at
+    the root.  The first invalid node in that order raises
+    :class:`CheckError` with its path from the root.
+
+    An explicit stack keeps depth free of the recursion limit.  A premise
+    is materialized when its turn comes, and a path is rebuilt from the
+    parent links only when a node fails, so the walk stays linear in the
+    tree times the context size.
+    """
+    parents: list[int] = []
+    branch: list[int] = []  # which premise of its parent each node is
+    pending = [(-1, 0, goal, None, proof)]
+    i = -1
+    while pending:
+        parent, k, seq, plan, node = pending.pop()
+        if plan is not None:
+            seq = materialize_plan(seq, plan)
+        i += 1
+        parents.append(parent)
+        branch.append(k)
+        try:
+            plans = plans_of(sig, seq, node)
+            if len(node.premises) != len(plans):
+                raise CheckError(
+                    Reason.ARITY_MISMATCH,
+                    f"{node.rule} expects {len(plans)} premise(s), "
+                    f"certificate has {len(node.premises)}",
+                )
+        except CheckError as e:
+            path = []
+            while i > 0:
+                path.append(branch[i])
+                i = parents[i]
+            raise CheckError(e.reason, e.message, tuple(reversed(path))) from None
+        yield node, seq, parent
+        for k in range(len(plans) - 1, -1, -1):
+            pending.append((i, k, seq, plans[k], node.premises[k]))
 
 
 # --- proof statistics -------------------------------------------------------

@@ -263,12 +263,16 @@ def test_criterion_3_certificates_sound_and_mutations_rejected():
     premises exactly or survive an independent re-validation — focused
     ones are defocused and checked unfocused, unfocused ones are
     re-indexed onto the reversed context and re-checked.  Everything else
-    must be rejected, and rejections must dominate overall.
+    must be rejected, and rejections must dominate overall.  Every
+    rejection must point at the mutated node or one of its descendants.
     """
     focused, unfocused = _sample_certificates()
     assert len(focused) + len(unfocused) == 50
     tested = rejected = equivalent = 0
     holes = []
+    # nodes before the mutant in pre-order are untouched, so the first
+    # error a pre-order check meets is at the mutant or below it
+    misplaced = []
 
     for sig, goal, proof in focused:
         check_focused(sig, goal, proof)
@@ -279,8 +283,10 @@ def test_criterion_3_certificates_sound_and_mutations_rejected():
                 whole = _graft(proof, path, mut)
                 try:
                     check_focused(sig, goal, whole)
-                except CheckError:
+                except CheckError as e:
                     rejected += 1
+                    if e.path[: len(path)] != path:
+                        misplaced.append(("focused", path, mut.rule, e.path))
                     continue
                 equivalent += 1
                 if fpremises_of(sig, local, mut) == base:
@@ -301,8 +307,10 @@ def test_criterion_3_certificates_sound_and_mutations_rejected():
                 whole = _graft(proof, path, mut)
                 try:
                     check_unfocused(sig, seq, whole)
-                except CheckError:
+                except CheckError as e:
                     rejected += 1
+                    if e.path[: len(path)] != path:
+                        misplaced.append(("unfocused", path, mut.rule, e.path))
                     continue
                 equivalent += 1
                 if premises_of(sig, ctx, mut) == base:
@@ -314,6 +322,7 @@ def test_criterion_3_certificates_sound_and_mutations_rejected():
                     holes.append(("unfocused", path, node.rule, mut.rule))
 
     assert not holes, holes[:5]
+    assert not misplaced, misplaced[:5]
     assert tested > 1000
     assert rejected / tested >= 0.95, (rejected, tested)
     print(

@@ -17,7 +17,8 @@ from selogic.corpus import load_corpus
 from selogic.errors import ParseError
 from selogic.focusing import BLUR, DECIDE, FINIT, FONE, FProof, FSequent, FTENSOR, check_focused, defocus
 from selogic.formulas import Sequent
-from selogic.minsky import Configuration, run
+from selogic.cli import main
+from selogic.minsky import Configuration, print_machine, run
 from selogic.reduction import encode_halting, proof_from_trace
 from selogic.unfocused import INIT, ONE_RULE, TENSOR, WEAK, UProof, check_unfocused, proof_nodes
 
@@ -234,6 +235,26 @@ def test_same_tree_sees_one_changed_node():
     text = print_focused_proof(proof)
     assert not _same_tree(parse_focused_proof(text.replace("(f1)", "(finit 0)")), proof)
     assert not _same_tree(_focused_spine(49), proof)
+
+
+def test_six_hundred_step_roundtrip_under_the_default_recursion_limit(tmp_path, capsys):
+    # drain_a from a = 600: every layer of the pipeline walks certificates
+    # thousands of nodes deep, and the CLI reports instead of crashing
+    m, _ = load_corpus("drain_a")
+    init = Configuration("q0", 600, 0)
+    path = tmp_path / "drain_a_600.2rm"
+    path.write_text(print_machine(m, init))
+    start = time.perf_counter()
+    assert main(["roundtrip", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "steps: 602" in out
+    assert "agreement: yes" in out
+    bundle = encode_halting(m, init)
+    fp = proof_from_trace(bundle, run(m, init, 1000).trace)
+    up = defocus(fp, bundle.signature, FSequent(bundle.goal))
+    assert _same_tree(parse_focused_proof(print_focused_proof(fp)), fp)
+    assert _same_tree(parse_unfocused_proof(print_unfocused_proof(up)), up)
+    assert time.perf_counter() - start < 30.0
 
 
 def test_deep_text_parses_or_fails_with_a_parse_error():

@@ -5,8 +5,8 @@ import pytest
 from selogic.certificates import parse_focused_proof
 from selogic.cli import main
 from selogic.focusing import FSequent, check_focused
-from selogic.parsing import parse_sequent, parse_signature
-from selogic.reduction import encode_halting
+from selogic.parsing import parse_sequent, parse_signature, print_signature
+from selogic.reduction import encode_halting, encoding_signature
 from selogic.corpus import load_corpus
 
 
@@ -137,6 +137,23 @@ def test_check_rejects_and_reports_reason(tmp_path, capsys):
     assert "reason: focus-on-negative" in out
     assert "path: (root)" in out
     assert any(line.startswith("detail: ") for line in out)
+
+
+def test_check_rejects_a_deeply_banged_goal_without_a_traceback(tmp_path, capsys):
+    # the label scan of the goal walks 3000 nested bangs under the
+    # default recursion limit; the certificate then fails at its leaf
+    (tmp_path / "s").write_text(print_signature(encoding_signature()))
+    (tmp_path / "g").write_text("|- " + "!inf " * 3000 + "x, ~x\n")
+    (tmp_path / "p").write_text("(decide 0 (f1))\n")
+    code = main(
+        ["check", "--signature", str(tmp_path / "s"), "--sequent", str(tmp_path / "g"),
+         "--proof", str(tmp_path / "p")]
+    )
+    assert code == 1
+    out = lines(capsys)
+    assert out[0] == "outcome: rejected"
+    assert "reason: context-mismatch" in out
+    assert "path: 0" in out
 
 
 def test_check_unfocused_calculus(tmp_path, capsys):

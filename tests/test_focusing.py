@@ -17,12 +17,11 @@ from selogic.focusing import (
     defocus,
     fpremise_plans,
     fpremises_of,
-    fproof_size,
     is_neutral,
 )
 from selogic.formulas import Sequent
 from selogic.parsing import parse_formula, parse_sequent
-from selogic.unfocused import check_unfocused, count_rule, CONTR
+from selogic.unfocused import check_unfocused, count_rule, proof_size, CONTR
 
 
 def fgoal(text, focus=None):
@@ -114,14 +113,14 @@ def test_udecide_keeps_its_formula(sig):
     )
     check_focused(sig, goal, proof)
     assert count_decides(proof) == 2
-    assert fproof_size(proof) == 4
+    assert proof_size(proof) == 4
 
 
 def test_counters_walk_spines_deeper_than_the_recursion_limit():
     proof = FProof(FONE)
     for k in range(19_999):
         proof = FProof(BLUR, premises=(proof,)) if k % 2 else FProof(DECIDE, principal=0, premises=(proof,))
-    assert fproof_size(proof) == 20_000
+    assert proof_size(proof) == 20_000
     assert count_decides(proof) == 10_000
 
 
@@ -233,6 +232,12 @@ def test_arity_mismatch(sig):
     bad = FProof(DECIDE, principal=0)
     err = rejects(sig, goal, bad, Reason.ARITY_MISMATCH)
     assert err.path == ()
+
+
+def test_unknown_rule_tag(sig):
+    # qm is an unfocused rule; the focused calculus has no such tag
+    err = rejects(sig, fgoal("|- ?inf ~x, x"), FProof("qm", principal=0), Reason.CONTEXT_MISMATCH)
+    assert (err.message, err.path) == ("unknown rule tag 'qm'", ())
 
 
 def test_error_path_points_into_the_tree(sig):

@@ -3,11 +3,12 @@ import pytest
 from selogic.corpus import load_corpus
 from selogic.errors import AtomClash, MalformedCertificate, TraceMismatch, UnknownState
 from selogic.focusing import (
+    UDECIDE,
+    FProof,
     FSequent,
     check_focused,
     count_decides,
     defocus,
-    fproof_size,
 )
 from selogic.formulas import NegAtom, Qm, Sequent
 from selogic.minsky import Configuration, Entry, Halted, Machine, run
@@ -118,7 +119,7 @@ def test_certificates_from_traces(name):
     check_focused(bundle.signature, goal, cert)
     assert count_decides(cert) == decides
     if fsize is not None:
-        assert fproof_size(cert) == fsize
+        assert proof_size(cert) == fsize
     u = defocus(cert, bundle.signature, goal)
     check_unfocused(bundle.signature, Sequent(bundle.goal), u)
     assert proof_size(u) == urules
@@ -179,3 +180,15 @@ def test_foreign_certificate_is_malformed():
     cert = proof_from_trace(encode_halting(ma, inita), ("halt",))
     with pytest.raises(MalformedCertificate):
         trace_from_proof(encode_halting(mb, initb), cert)
+
+
+@pytest.mark.parametrize("principal", [999, None, -1])
+def test_udecide_position_is_checked_before_it_is_read(principal):
+    m, init = load_corpus("halt_only")
+    bundle = encode_halting(m, init)
+    with pytest.raises(MalformedCertificate) as e:
+        trace_from_proof(bundle, FProof(UDECIDE, principal=principal))
+    assert str(e.value) == (
+        "not a certificate for this goal: context-mismatch at root: "
+        f"position {principal} out of range for context of {len(bundle.goal)}"
+    )

@@ -69,6 +69,13 @@ def test_arity_mismatch_is_its_own_reason(sig):
     assert err.path == ()
 
 
+def test_unknown_rule_tag(sig):
+    # decide is a focused rule; the unfocused calculus has no such tag
+    goal = parse_sequent("|- x, ~x")
+    err = rejects(sig, goal, UProof("decide", principal=0), Reason.CONTEXT_MISMATCH)
+    assert (err.message, err.path) == ("unknown rule tag 'decide'", ())
+
+
 def test_error_path_addresses_the_offending_premise(sig):
     goal = parse_sequent("|- (x * y), ~x, ~y")
     bad = UProof(TENSOR, principal=0, split=(1,), premises=(INIT_01, INIT_10))
