@@ -25,20 +25,24 @@ structural steps explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import CheckError, Reason
 from .formulas import (
     Atom,
     Bang,
+    Bot,
     Context,
     Formula,
     NegAtom,
     One,
+    Par,
     Plus,
     Polarity,
     Qm,
     Tensor,
+    Top,
+    With,
     polarity,
 )
 from .signatures import Signature, is_unbounded, leq
@@ -81,13 +85,18 @@ class FProof:
     premises: tuple["FProof", ...] = ()
 
 
+#: The negative connectives other than negated atoms and ``?``: the ones the
+#: unfocused phase decomposes.  Every other formula type is neutral.
+ASYNC = frozenset({Par, Bot, With, Top})
+
+
 def is_neutral_formula(f: Formula) -> bool:
-    return polarity(f) is Polarity.POSITIVE or isinstance(f, (NegAtom, Qm))
+    return type(f) not in ASYNC
 
 
 def is_neutral(ctx: Context) -> bool:
     """No negative non-atom, non-question-marked formula remains."""
-    return all(is_neutral_formula(f) for f in ctx)
+    return ASYNC.isdisjoint(map(type, ctx))
 
 
 def _fail(reason: Reason, message: str):
@@ -312,17 +321,7 @@ def defocus(proof: FProof, sig: Signature, goal: FSequent) -> UProof:
         chain, premise_states = _defocus(sig, fseq, node, *states.pop())
         order.append((chain, len(premise_states)))
         states.extend(reversed(premise_states))
-    # In reverse pre-order every node comes after all of its descendants,
-    # and its left premise's translation lands on top of its right one's.
-    built: list[UProof] = []
-    for chain, arity in reversed(order):
-        subs = ()
-        for _ in range(arity):
-            subs += (built.pop(),)
-        for head in reversed(chain):
-            subs = (replace(head, premises=subs) if subs else head,)
-        built.append(subs[0])
-    return built[0]
+    return uf.assemble(order)
 
 
 def _slot_pos(slots: list, tag: tuple) -> int:

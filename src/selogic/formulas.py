@@ -9,7 +9,6 @@ contexts and sequents are hashable values that can be shared freely.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 
 
@@ -97,34 +96,31 @@ class Polarity(enum.Enum):
     NEGATIVE = "negative"
 
 
+_DUALS = {
+    Atom: NegAtom, NegAtom: Atom, Tensor: Par, Par: Tensor, One: Bot, Bot: One,
+    Plus: With, With: Plus, Zero: Top, Top: Zero, Bang: Qm, Qm: Bang,
+}
+
+
 def dual(f: Formula) -> Formula:
-    """The involutive De Morgan dual, computed structurally."""
-    match f:
-        case Atom(name):
-            return NegAtom(name)
-        case NegAtom(name):
-            return Atom(name)
-        case Tensor(a, b):
-            return Par(dual(a), dual(b))
-        case Par(a, b):
-            return Tensor(dual(a), dual(b))
-        case One():
-            return BOT
-        case Bot():
-            return ONE
-        case Plus(a, b):
-            return With(dual(a), dual(b))
-        case With(a, b):
-            return Plus(dual(a), dual(b))
-        case Zero():
-            return TOP
-        case Top():
-            return ZERO
-        case Bang(label, body):
-            return Qm(label, dual(body))
-        case Qm(label, body):
-            return Bang(label, dual(body))
-    raise TypeError(f"not a formula: {f!r}")
+    """The involutive De Morgan dual, computed structurally with an explicit
+    stack, so depth is not bounded by the recursion limit."""
+    done: list[Formula] = []
+    # formulas still to dualize; a flagged one has its subformulas' duals
+    # on top of ``done``, leftmost on top
+    pending = [(f, False)]
+    while pending:
+        g, ready = pending.pop()
+        if type(g) not in _DUALS:
+            raise TypeError(f"not a formula: {g!r}")
+        data, kids = _shape(g)
+        if kids and not ready:
+            pending.append((g, True))
+            pending.extend((k, False) for k in kids)
+            continue
+        args = [done.pop() for _ in kids]
+        done.append(_DUALS[type(g)](*([] if data is None else [data]), *args))
+    return done[0]
 
 
 def polarity(f: Formula) -> Polarity:
@@ -197,10 +193,6 @@ def intern_table(*roots: Formula) -> dict[int, int]:
 def context_key(table: dict[int, int], ctx: Context) -> tuple[int, ...]:
     """The context as a multiset: sorted class numbers from :func:`intern_table`."""
     return tuple(sorted(map(table.__getitem__, map(id, ctx))))
-
-
-def multiset_equal(a: Context, b: Context) -> bool:
-    return Counter(a) == Counter(b)
 
 
 @dataclass(frozen=True, slots=True)

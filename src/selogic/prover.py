@@ -24,6 +24,18 @@ formulas plus the leftovers, once per consumed multiset.  Each ftensor
 still lists its copied and left positions explicitly, relative to its own
 context, so certificates check as before.
 
+Decides are offered only where the focus could close, reading focusing as
+backchaining after Andreoli (*Logic Programming with Focusing Proofs in
+Linear Logic*, JLC 1992) and Liang & Miller (*Focusing and Polarization in
+Linear, Intuitionistic, and Classical Logics*, TCS 2009).  The atoms of a
+focus's tensor skeleton, those reached through tensors alone, can each
+close only by finit against a bare negated atom of the context, and the
+tensors split the context, so each needs one of its own.  No negated atom
+appears under focus (``?u ~x`` becomes ``~x`` only after a blur), so a
+decide whose skeleton atoms are not contained, as a multiset, in the
+context's negated atoms can never succeed and is not tried.  A neutral
+sequent with no decide left fails outright, not at the decide cap.
+
 Because udecide keeps its formula, proofs can regress forever; the search
 is made terminating by a per-branch cap on decides, deepened iteratively
 from zero so the first proof found uses as few decides along any branch as
@@ -36,6 +48,7 @@ deterministic: the same call yields the same certificate.
 from __future__ import annotations
 
 from bisect import bisect
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -55,6 +68,7 @@ from .focusing import (
     FSequent,
     fmaterialize,
     fpremise_plans,
+    is_neutral,
     is_neutral_formula,
 )
 from .formulas import (
@@ -67,7 +81,6 @@ from .formulas import (
     One,
     Par,
     Plus,
-    Polarity,
     Qm,
     Tensor,
     Top,
@@ -75,7 +88,6 @@ from .formulas import (
     Zero,
     context_key,
     intern_table,
-    polarity,
 )
 from .signatures import Signature, is_unbounded, leq
 from .unfocused import BOT_RULE, PAR, TOP_RULE, WITH, tensor_splits, validate_labels
@@ -88,6 +100,7 @@ class SearchStats:
     rounds: int = 0
     splits: int = 0  # left tensor outcomes handed to a right premise
     memo_hits: int = 0
+    filtered: int = 0  # decide candidates dropped because their focus cannot close
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,6 +170,8 @@ class _Searcher:
         self.max_nodes = max_nodes
         # formula object id -> class number, over the goal's sub-objects
         self.table = table
+        # formula object id -> its tensor skeleton's atoms, see _skeleton
+        self.skeletons: dict[int, tuple[tuple[str, int], ...]] = {}
         # (context key, focus class or -1) -> (largest decide budget that
         # failed, whether a budget cutoff occurred inside that failed search)
         self.failed: dict | None = {} if use_memo else None
@@ -171,7 +186,7 @@ class _Searcher:
             self.stats.deepest_decides = used
 
         key = None
-        if self.failed is not None and (fseq.focus is not None or _all_neutral(fseq.context)):
+        if self.failed is not None and (fseq.focus is not None or is_neutral(fseq.context)):
             key = self._key(fseq)
             hit = self.failed.get(key)
             if hit is not None and budget <= hit[0]:
@@ -234,27 +249,39 @@ class _Searcher:
             any_cutoff = any_cutoff or cutoff
         return None, any_cutoff
 
-    def _decide_candidates(self, ctx) -> list[FProof]:
-        cands = []
+    def _decide_candidates(self, ctx: Context) -> list[FProof]:
+        """Decides on a neutral context whose focus could still close:
+        ldecides, then udecides, then decides, each left to right."""
+        negs = Counter(g.name for g in ctx if type(g) is NegAtom)
+        flavours: dict[str, list[FProof]] = {LDECIDE: [], UDECIDE: [], DECIDE: []}
         for i, f in enumerate(ctx):
-            if isinstance(f, Qm) and not is_unbounded(self.sig, f.label):
-                cands.append(FProof(LDECIDE, principal=i))
-        for i, f in enumerate(ctx):
-            if isinstance(f, Qm) and is_unbounded(self.sig, f.label):
-                cands.append(FProof(UDECIDE, principal=i))
-        for i, f in enumerate(ctx):
-            if polarity(f) is not Polarity.POSITIVE:
-                continue
-            if isinstance(f, Zero):
-                continue  # no rule can act on a focused zero
-            if isinstance(f, Atom) and not any(
-                isinstance(g, NegAtom) and g.name == f.name
-                for j, g in enumerate(ctx)
-                if j != i
-            ):
-                continue  # focusing an atom only ever ends in finit
-            cands.append(FProof(DECIDE, principal=i))
-        return cands
+            if type(f) is Qm:
+                rule = UDECIDE if is_unbounded(self.sig, f.label) else LDECIDE
+                focus = f.body
+            elif type(f) is NegAtom or type(f) is Zero:
+                continue  # negated atoms are not decided; nothing acts on a focused zero
+            else:
+                rule, focus = DECIDE, f
+            if all(negs[name] >= k for name, k in self._skeleton(focus)):
+                flavours[rule].append(FProof(rule, principal=i))
+            else:
+                self.stats.filtered += 1
+        return [*flavours[LDECIDE], *flavours[UDECIDE], *flavours[DECIDE]]
+
+    def _skeleton(self, f: Formula) -> tuple[tuple[str, int], ...]:
+        """The atoms reached from ``f`` through tensors only, with multiplicities."""
+        skeleton = self.skeletons.get(id(f))
+        if skeleton is None:
+            names: Counter[str] = Counter()
+            pending = [f]
+            while pending:
+                g = pending.pop()
+                if type(g) is Tensor:
+                    pending += (g.left, g.right)
+                elif type(g) is Atom:
+                    names[g.name] += 1
+            skeleton = self.skeletons[id(f)] = tuple(names.items())
+        return skeleton
 
     def _focused(self, fseq: FSequent, budget: int, used: int) -> tuple[FProof | None, bool]:
         ctx = fseq.context
@@ -401,6 +428,3 @@ class _Searcher:
             return False
         return True
 
-
-def _all_neutral(ctx) -> bool:
-    return all(is_neutral_formula(f) for f in ctx)

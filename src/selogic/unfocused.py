@@ -309,6 +309,23 @@ def proof_nodes(proof):
         pending.extend(reversed(node.premises))
 
 
+def assemble(order: list[tuple[list, int]]):
+    """Build a proof bottom-up from one ``(chain, arity)`` pair per node, in
+    pre-order: ``chain`` lists rule heads, each the single premise's parent
+    of the next, the last taking the node's ``arity`` premises; an empty
+    chain passes its one premise through.  In reverse pre-order every node
+    follows its descendants, its left premise's proof on top."""
+    built: list = []
+    for chain, arity in reversed(order):
+        subs = ()  # by concatenation: a generator costs one more object per node
+        for _ in range(arity):
+            subs += (built.pop(),)
+        for head in reversed(chain):
+            subs = (replace(head, premises=subs) if subs else head,)
+        built.append(subs[0])
+    return built[0]
+
+
 def proof_size(proof: UProof) -> int:
     return sum(1 for _ in proof_nodes(proof))
 
@@ -562,26 +579,29 @@ def permute_proof(sig: Signature, ctx: Context, proof: UProof, perm: tuple[int, 
     ``perm`` lists, for each new position, the old position it draws from.
     The premise-plan sources let each premise's induced permutation be read
     off mechanically, so the transformation works for arbitrary certificates.
+    One explicit-stack pass visits the nodes in pre-order, each with its old
+    context and permutation, and :func:`assemble` builds the result.
     """
-    n = len(ctx)
-    inv = [0] * n
-    for new, old in enumerate(perm):
-        inv[old] = new
-    new_ctx = tuple(ctx[p] for p in perm)
-    head = replace(proof, premises=())
-    new_head = replace(
-        head,
-        principal=None if proof.principal is None else inv[proof.principal],
-        pair=None if proof.pair is None else (inv[proof.pair[0]], inv[proof.pair[1]]),
-        split=None if proof.split is None else tuple(sorted(inv[i] for i in proof.split)),
-    )
-    old_plans = premise_plans(sig, ctx, head)
-    new_plans = premise_plans(sig, new_ctx, new_head)
-    new_premises = []
-    for k, sub in enumerate(proof.premises):
-        translated = [_translate(src, inv) for src in old_plans[k]]
-        slot_of = {src: j for j, src in enumerate(translated)}
-        sub_perm = tuple(slot_of[src] for src in new_plans[k])
-        old_prem = materialize(ctx, old_plans[k])
-        new_premises.append(permute_proof(sig, old_prem, sub, sub_perm))
-    return replace(new_head, premises=tuple(new_premises))
+    order: list[tuple[list, int]] = []
+    pending = [(ctx, proof, perm)]
+    while pending:
+        ctx, proof, perm = pending.pop()
+        inv = [0] * len(ctx)
+        for new, old in enumerate(perm):
+            inv[old] = new
+        head = replace(proof, premises=())
+        new_head = replace(
+            head,
+            principal=None if proof.principal is None else inv[proof.principal],
+            pair=None if proof.pair is None else (inv[proof.pair[0]], inv[proof.pair[1]]),
+            split=None if proof.split is None else tuple(sorted(inv[i] for i in proof.split)),
+        )
+        old_plans = premise_plans(sig, ctx, head)
+        new_plans = premise_plans(sig, tuple(ctx[p] for p in perm), new_head)
+        order.append(([new_head], len(proof.premises)))
+        for k in range(len(proof.premises) - 1, -1, -1):
+            translated = [_translate(src, inv) for src in old_plans[k]]
+            slot_of = {src: j for j, src in enumerate(translated)}
+            sub_perm = tuple(slot_of[src] for src in new_plans[k])
+            pending.append((materialize(ctx, old_plans[k]), proof.premises[k], sub_perm))
+    return assemble(order)

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from selogic.errors import CheckError, Reason
 from selogic.focusing import (
@@ -18,8 +21,10 @@ from selogic.focusing import (
     fpremise_plans,
     fpremises_of,
     is_neutral,
+    is_neutral_formula,
 )
-from selogic.formulas import Sequent
+from selogic.formulas import NegAtom, Polarity, Qm, Sequent, polarity
+from selogic.generators import random_context, random_signature
 from selogic.parsing import parse_formula, parse_sequent
 from selogic.unfocused import check_unfocused, count_rule, proof_size, CONTR
 
@@ -43,6 +48,24 @@ def test_neutrality():
     assert is_neutral(parse_sequent("|- x, ~x, ?u y, !v 0").context)
     assert not is_neutral(parse_sequent("|- x, (y | y)").context)
     assert not is_neutral(parse_sequent("|- bot").context)
+
+
+def _neutral_by_polarity(f):
+    """The reference definition: positive, a negated atom or question-marked."""
+    return polarity(f) is Polarity.POSITIVE or isinstance(f, (NegAtom, Qm))
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_neutrality_by_type_agrees_with_polarity(seed):
+    rng = random.Random(seed)
+    ctx = random_context(rng, random_signature(rng))
+    parts = list(ctx)  # every subformula, so each connective shows up
+    for f in parts:
+        parts += [getattr(f, k) for k in ("left", "right", "body") if hasattr(f, k)]
+    assert is_neutral(ctx) == all(map(_neutral_by_polarity, ctx))
+    for f in parts:
+        assert is_neutral_formula(f) == _neutral_by_polarity(f)
+        assert is_neutral((f,)) == _neutral_by_polarity(f)
 
 
 def test_decide_then_init(sig):

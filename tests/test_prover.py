@@ -43,6 +43,14 @@ def test_tiny_sequents(sig):
     assert out.complete
 
 
+def test_a_decide_that_cannot_close_is_not_tried(sig):
+    # q has no ~q to close against, so no decide is left and the first
+    # round already fails without a budget cutoff
+    out = prove_focused(sig, fgoal("|- ?inf (q * ~r), ~s"), max_decides=4)
+    assert isinstance(out, Exhausted) and out.complete
+    assert out.stats.rounds == 1 and out.stats.filtered > 0
+
+
 def test_exhausted_complete_means_no_budget_will_help(sig):
     out = prove_focused(sig, fgoal("|- x, x"), max_decides=2)
     assert isinstance(out, Exhausted) and out.complete
@@ -208,14 +216,16 @@ def test_equal_formulas_as_distinct_objects_prove_alike():
 
 
 def test_drain_a_at_three_stays_under_its_node_count():
-    # splitting by multiplicity cut this from 13 788 nodes to 10 257, and
-    # lazy tensor splitting to 2 412
+    # splitting by multiplicity cut this from 13 788 nodes to 10 257, lazy
+    # tensor splitting to 2 412, and relevance-filtered decides to 751
     m, init = load_corpus("drain_a")
     assert init.a == 3
     bundle = encode_halting(m, init)
     out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=8)
     assert isinstance(out, Proved)
-    assert out.stats.nodes <= 2_412
+    assert out.stats.nodes <= 751
+    again = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=8)
+    assert again.stats.filtered == out.stats.filtered > 0
 
 
 def test_drain_a_at_twenty_is_proved_within_the_default_node_cap():
@@ -226,6 +236,7 @@ def test_drain_a_at_twenty_is_proved_within_the_default_node_cap():
     assert isinstance(out, Proved)
     check_focused(bundle.signature, goal, out.proof)
     assert out.stats.rounds == 25
+    assert out.stats.nodes <= 108_684
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,10 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selogic.corpus import load_corpus
 from selogic.errors import CheckError, Reason, UnknownLabel
+from selogic.focusing import FSequent, defocus
 from selogic.formulas import Sequent
 from selogic.generators import random_context, random_signature
+from selogic.minsky import Configuration, run
 from selogic.parsing import parse_formula, parse_sequent
+from selogic.reduction import encode_halting, proof_from_trace
 from selogic.unfocused import (
     CONTR,
     INIT,
@@ -253,3 +257,15 @@ def test_permuted_contexts_are_equiderivable(seed):
     perm = tuple(perm)
     moved = permute_proof(s, goal.context, proof, perm)
     check_unfocused(s, Sequent(tuple(goal.context[p] for p in perm)), moved)
+
+
+def test_permute_proof_reindexes_a_six_hundred_step_certificate():
+    # the defocused drain_a run from a = 600 is thousands of nodes deep
+    m, _ = load_corpus("drain_a")
+    init = Configuration("q0", 600, 0)
+    bundle = encode_halting(m, init)
+    sig, goal = bundle.signature, bundle.goal
+    proof = defocus(proof_from_trace(bundle, run(m, init, 1000).trace), sig, FSequent(goal))
+    reverse = tuple(reversed(range(len(goal))))
+    moved = permute_proof(sig, goal, proof, reverse)
+    check_unfocused(sig, Sequent(tuple(goal[p] for p in reverse)), moved)
