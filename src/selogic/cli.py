@@ -254,6 +254,21 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type for integers no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selogic",
@@ -266,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("machine", help="machine file or bundled machine name")
         if fuel:
-            p.add_argument("--fuel", type=int, default=10_000, help="step limit")
+            p.add_argument("--fuel", type=_at_least(0), default=10_000, help="step limit")
         p.set_defaults(func=func)
         return p
 
@@ -278,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal-out")
 
     p = machine_cmd("prove", "search for a focused proof of the encoded goal", cmd_prove)
-    p.add_argument("--max-decides", type=int, default=12, help="per-branch decide cap")
-    p.add_argument("--max-nodes", type=int, default=500_000, help="total node cap")
+    p.add_argument("--max-decides", type=_at_least(0), default=12, help="per-branch decide cap")
+    p.add_argument("--max-nodes", type=_at_least(1), default=500_000, help="total node cap")
     p.add_argument("--proof-out", help="write the found certificate to a file")
 
     p = sub.add_parser("check", help="check a certificate against a signature and sequent")
@@ -305,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="random and bundled end-to-end consistency checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=60)
+    p.add_argument("--count", type=_at_least(0), default=60)
     p.set_defaults(func=cmd_selftest)
 
     return parser

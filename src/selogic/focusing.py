@@ -26,14 +26,16 @@ structural steps explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 
-from .errors import CheckError, Reason
+from .errors import Reason
 from .formulas import (
     Atom,
     Bang,
     Bot,
     Context,
     Formula,
+    FSequent,
     NegAtom,
     One,
     Par,
@@ -47,7 +49,7 @@ from .formulas import (
 )
 from .signatures import Signature, is_unbounded, leq
 from . import unfocused as uf
-from .unfocused import UProof, validate_labels
+from .unfocused import NO_FOCUS, Occurrence, Plan, UProof, _fail, materialize, validate_labels
 
 DECIDE = "decide"
 LDECIDE = "ldecide"
@@ -61,11 +63,6 @@ FPLUS2 = "fplus2"
 FBANG = "fbang"
 
 DECIDE_RULES = (DECIDE, LDECIDE, UDECIDE)
-
-@dataclass(frozen=True, slots=True)
-class FSequent:
-    context: Context
-    focus: Formula | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,46 +96,21 @@ def is_neutral(ctx: Context) -> bool:
     return ASYNC.isdisjoint(map(type, ctx))
 
 
-def _fail(reason: Reason, message: str):
-    raise CheckError(reason, message)
+def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[Plan]:
+    """Validate one focused rule application; raises :class:`CheckError`.
 
-
-# Focused premise plans reuse the unfocused source encoding and add two
-# focus-relative sources: ("focus",) is the focus itself, ("fpart", k) one of
-# its immediate subformulas.  Each premise is (context plan, focus source).
-FPlan = tuple[list, tuple | None]
-
-
-def _fresolve(fseq: FSequent, src: tuple) -> Formula:
-    match src[0]:
-        case "focus":
-            assert fseq.focus is not None
-            return fseq.focus
-        case "fpart":
-            assert fseq.focus is not None
-            return uf._part(fseq.focus, src[1])
-        case "part":
-            return uf._part(fseq.context[src[1]], src[2])
-        case _:
-            return fseq.context[src[1]]
-
-
-def fmaterialize(fseq: FSequent, plan: FPlan) -> FSequent:
-    ctx_plan, focus_src = plan
-    ctx = tuple(_fresolve(fseq, src) for src in ctx_plan)
-    focus = None if focus_src is None else _fresolve(fseq, focus_src)
-    return FSequent(ctx, focus)
-
-
-def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[FPlan]:
-    """Validate one focused rule application; raises :class:`CheckError`."""
+    Premises are laid out in the plan form of
+    :func:`~selogic.unfocused.premise_plans`; the focus-relative sources
+    ``("focus",)`` and ``("fpart", k)`` occur only here.
+    """
     ctx = fseq.context
     focus = fseq.focus
     n = len(ctx)
     rule = node.rule
 
+    p = node.principal
+
     def principal() -> Formula:
-        p = node.principal
         if p is None or not 0 <= p < n:
             _fail(Reason.CONTEXT_MISMATCH, f"position {p} out of range for context of {n}")
         return ctx[p]
@@ -162,7 +134,7 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[FPlan]:
                     "unbounded question-marked formula",
                 )
 
-    keeps = lambda it: [("keep", i) for i in it]
+    whole = (("run", 0, n),)
 
     match rule:
         case "decide" | "ldecide" | "udecide":
@@ -170,11 +142,10 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[FPlan]:
             if not is_neutral(ctx):
                 _fail(Reason.NOT_NEUTRAL, "decide requires a neutral context")
             f = principal()
-            p = node.principal
             if rule == "decide":
                 if polarity(f) is not Polarity.POSITIVE:
                     _fail(Reason.FOCUS_ON_NEGATIVE, "decide needs a positive formula")
-                return [(keeps(i for i in range(n) if i != p), ("keep", p))]
+                return [(uf.around(n, p), (("run", p, p + 1),))]
             if not isinstance(f, Qm):
                 _fail(Reason.CONTEXT_MISMATCH, f"{rule} needs a question-marked formula")
             if rule == "ldecide":
@@ -183,15 +154,15 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[FPlan]:
                         Reason.WRONG_DECIDE_FLAVOR,
                         f"label {f.label!r} is unbounded; use udecide",
                     )
-                return [(keeps(i for i in range(n) if i != p), ("part", p, 0))]
+                return [(uf.around(n, p), (("part", p, 0),))]
             if not is_unbounded(sig, f.label):
                 _fail(Reason.WRONG_DECIDE_FLAVOR, f"label {f.label!r} is bounded; use ldecide")
-            return [(keeps(range(n)), ("part", p, 0))]
+            return [(whole, (("part", p, 0),))]
         case "blur":
             f = require_focus()
             if polarity(f) is not Polarity.NEGATIVE:
                 _fail(Reason.BLUR_ON_POSITIVE, "blur releases only a negative focus")
-            return [(keeps(range(n)) + [("focus",)], None)]
+            return [((*whole, ("focus",)), NO_FOCUS)]
         case "finit":
             f = require_focus()
             if not isinstance(f, Atom):
@@ -199,7 +170,7 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[FPlan]:
             g = principal()
             if not (isinstance(g, NegAtom) and g.name == f.name):
                 _fail(Reason.CONTEXT_MISMATCH, "finit needs the focused atom's negation")
-            bystander_unbounded((i for i in range(n) if i != node.principal), "finit")
+            bystander_unbounded((i for i in range(n) if i != p), "finit")
             return []
         case "f1":
             f = require_focus()
@@ -211,7 +182,7 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[FPlan]:
             f = require_focus()
             if not isinstance(f, Plus):
                 _fail(Reason.CONTEXT_MISMATCH, "focus is not a plus")
-            return [(keeps(range(n)), ("fpart", 0 if rule == "fplus1" else 1))]
+            return [(whole, (("fpart", 0 if rule == "fplus1" else 1),))]
         case "ftensor":
             f = require_focus()
             if not isinstance(f, Tensor):
@@ -221,7 +192,7 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[FPlan]:
             kept, split = set(node.kept), set(node.split)
             if len(kept) != len(node.kept) or len(split) != len(node.split):
                 _fail(Reason.CONTEXT_MISMATCH, "ftensor position lists repeat a position")
-            if not kept <= set(range(n)) or not split <= set(range(n)):
+            if not all(0 <= i < n for i in kept | split):
                 _fail(Reason.CONTEXT_MISMATCH, "ftensor positions out of range")
             if kept & split:
                 _fail(Reason.CONTEXT_MISMATCH, "a position cannot be both copied and sent left")
@@ -232,10 +203,11 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[FPlan]:
                         Reason.COPIED_BOUNDED,
                         "only unbounded question-marked formulas can be copied to both premises",
                     )
-            rest = set(range(n)) - kept - split
-            left = keeps(sorted(kept | split))
-            right = keeps(sorted(kept | rest))
-            return [(left, ("fpart", 0)), (right, ("fpart", 1))]
+            # left: the copied and the split positions; right: all but the split
+            return [
+                ((("pick", tuple(sorted(kept | split))),), (("fpart", 0),)),
+                (tuple(uf.runs(0, n, sorted(split))), (("fpart", 1),)),
+            ]
         case "fbang":
             f = require_focus()
             if not isinstance(f, Bang):
@@ -243,7 +215,7 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[FPlan]:
             if node.kept is None:
                 _fail(Reason.CONTEXT_MISMATCH, "fbang needs a kept position list")
             kept = set(node.kept)
-            if len(kept) != len(node.kept) or not kept <= set(range(n)):
+            if len(kept) != len(node.kept) or not all(0 <= i < n for i in kept):
                 _fail(Reason.CONTEXT_MISMATCH, "fbang kept positions out of range")
             for i in kept:
                 g = ctx[i]
@@ -254,17 +226,12 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[FPlan]:
                         f"at labels above {f.label!r}",
                     )
             bystander_unbounded((i for i in range(n) if i not in kept), "fbang")
-            return [(keeps(sorted(kept)) + [("fpart", 0)], None)]
+            return [((("pick", tuple(sorted(kept))), ("fpart", 0)), NO_FOCUS)]
         case "par" | "bot" | "with" | "top":
             require_no_focus()
-            plans = uf.premise_plans(sig, ctx, UProof(rule, principal=node.principal))
-            return [(plan, None) for plan in plans]
+            return uf.premise_plans(sig, fseq, UProof(rule, principal=p))
         case _:
             _fail(Reason.CONTEXT_MISMATCH, f"unknown rule tag {rule!r}")
-
-
-def fpremises_of(sig: Signature, fseq: FSequent, node: FProof) -> tuple[FSequent, ...]:
-    return tuple(fmaterialize(fseq, plan) for plan in fpremise_plans(sig, fseq, node))
 
 
 def check_focused(sig: Signature, goal: FSequent, proof: FProof) -> None:
@@ -278,7 +245,7 @@ def check_focused(sig: Signature, goal: FSequent, proof: FProof) -> None:
 
 def checked_nodes(sig: Signature, goal: FSequent, proof: FProof):
     """:func:`~selogic.unfocused.checked_nodes` over the focused rules."""
-    return uf.checked_nodes(sig, fpremise_plans, fmaterialize, goal, proof)
+    return uf.checked_nodes(sig, fpremise_plans, goal, proof)
 
 
 def count_decides(proof: FProof) -> int:
@@ -287,20 +254,28 @@ def count_decides(proof: FProof) -> int:
 
 # --- defocusing -------------------------------------------------------------
 #
-# The translation tracks, for the current focused sequent, where each of its
-# formulas sits inside the unfocused context being proved: ``slots`` is a
-# list parallel to the unfocused context whose entries are ("c", i) for the
-# focused context formula i, ("d", i) for a transient contraction copy of it,
-# and ("f",) for the focus.  Every emitted unfocused node recomputes the
-# premise context through the unfocused premise plans, so the result checks
-# by construction.
+# The translation tracks where each formula of the current focused sequent
+# sits in the unfocused context being proved.  Every formula occurrence is
+# an :class:`~selogic.unfocused.Occurrence`: ``tags`` holds them in the
+# focused sequent's layout and ``slots`` in the unfocused context's order.
+# The focused node's plans move ``tags`` and the emitted unfocused rules'
+# plans move ``slots``, through the same materializer as the formulas, so
+# both name the same occurrences with no renumbering.  udecide is the one
+# rule that makes a new occurrence, because its focus copies a formula that
+# stays.
 #
 # One pass of the checking walk visits the focused nodes in pre-order with
-# their sequents.  At each node :func:`_defocus` emits a chain of unfocused
-# rule heads, the last of which takes the translated premises, and the
-# (unfocused context, slots) pair of each premise; those pairs sit on a
-# stack that the walk pops in the same order.  The unfocused tree is then
-# assembled bottom-up in reverse pre-order, so nothing recurses.
+# their sequents and plans.  At each node :func:`_defocus` emits a chain of
+# unfocused rule heads, the last of which takes the translated premises,
+# and the (unfocused sequent, slots, tags) state of each premise; those
+# states sit on a stack that the walk pops in the same order.  The
+# unfocused tree is then assembled bottom-up in reverse pre-order, so
+# nothing recurses.
+
+#: The unfocused rule of a focused node that acts on one position, where
+#: the two differ; par, bot, with and top keep their names.
+_ONE_POSITION = {LDECIDE: uf.QM, FPLUS1: uf.PLUS1, FPLUS2: uf.PLUS2}
+
 
 def defocus(proof: FProof, sig: Signature, goal: FSequent) -> UProof:
     """Translate a checkable focused certificate into an unfocused one.
@@ -311,165 +286,104 @@ def defocus(proof: FProof, sig: Signature, goal: FSequent) -> UProof:
     weakening chains.  The focused certificate is checked on the way;
     a rejected one raises :class:`CheckError`.
     """
-    u_ctx = goal.context + ((goal.focus,) if goal.focus is not None else ())
-    slots = [("c", i) for i in range(len(goal.context))]
+    tags = FSequent(tuple(Occurrence() for _ in goal.context))
+    u, slots = FSequent(goal.context), tags
     if goal.focus is not None:
-        slots.append(("f",))
-    states = [(u_ctx, slots)]
+        tags = FSequent(tags.context, Occurrence())
+        u, slots = FSequent(u.context + (goal.focus,)), FSequent(tags.context + (tags.focus,))
+    states = [(u, slots, tags)]
     order = []
-    for node, fseq, _ in checked_nodes(sig, goal, proof):
-        chain, premise_states = _defocus(sig, fseq, node, *states.pop())
+    for node, fseq, plans, _ in checked_nodes(sig, goal, proof):
+        chain, premise_states = _defocus(sig, node, fseq, plans, *states.pop())
         order.append((chain, len(premise_states)))
         states.extend(reversed(premise_states))
     return uf.assemble(order)
 
 
-def _slot_pos(slots: list, tag: tuple) -> int:
-    return slots.index(tag)
-
-
-def _apply(sig: Signature, u_ctx: Context, head: UProof) -> Context:
-    (prem,) = uf.premises_of(sig, u_ctx, head)
-    return prem
-
-
 def _defocus(
     sig: Signature,
-    fseq: FSequent,
     node: FProof,
-    u_ctx: Context,
-    slots: list,
-) -> tuple[list[UProof], list[tuple[Context, list]]]:
+    fseq: FSequent,
+    plans: list[Plan],
+    u: FSequent,
+    slots: FSequent,
+    tags: FSequent,
+) -> tuple[list[UProof], list[tuple[FSequent, FSequent, FSequent]]]:
     """Translate one focused node: its unfocused heads and premise states.
 
     An empty chain passes the single premise's translation through.
     """
-    assert len(u_ctx) == len(slots)
-    for j, tag in enumerate(slots):
-        if tag[0] == "f":
-            assert u_ctx[j] is fseq.focus
-        else:
-            assert u_ctx[j] is fseq.context[tag[1]]
+    formula_of = dict(zip(tags.context, fseq.context))
+    if tags.focus is not None:
+        formula_of[tags.focus] = fseq.focus
+    assert len(formula_of) == len(slots.context) and all(
+        map(is_, u.context, map(formula_of.__getitem__, slots.context))
+    )
 
-    ctx = fseq.context
-    n = len(ctx)
     rule = node.rule
+    premise_tags = [materialize(plan, tags) for plan in plans]
 
-    def renumber(tag, removed: int):
-        """Context index shift after dropping focused-context position ``removed``."""
-        if tag[0] == "f" or tag[1] < removed:
-            return tag
-        return (tag[0], tag[1] - 1)
+    def emit(head: UProof, u: FSequent, slots: FSequent) -> list:
+        """``head``'s premises, each with its slots and the focused tags."""
+        return [
+            (materialize(plan, u), materialize(plan, slots), t)
+            for plan, t in zip(uf.premise_plans(sig, u, head), premise_tags)
+        ]
 
     match rule:
-        case "decide":
-            i = node.principal
-            sub_slots = [("f",) if t == ("c", i) else renumber(t, i) for t in slots]
-            return [], [(u_ctx, sub_slots)]
-        case "ldecide":
-            i = node.principal
-            head = UProof(uf.QM, principal=_slot_pos(slots, ("c", i)))
-            sub_slots = [("f",) if t == ("c", i) else renumber(t, i) for t in slots]
-            return [head], [(_apply(sig, u_ctx, head), sub_slots)]
+        case "decide" | "blur":
+            return [], [(u, slots, premise_tags[0])]
         case "udecide":
-            p = _slot_pos(slots, ("c", node.principal))
-            contr = UProof(uf.CONTR, principal=p)
-            qm = UProof(uf.QM, principal=p + 1)
-            after_qm = _apply(sig, _apply(sig, u_ctx, contr), qm)
-            return [contr, qm], [(after_qm, slots[: p + 1] + [("f",)] + slots[p + 1 :])]
-        case "blur":
-            return [], [(u_ctx, [("c", n) if t == ("f",) else t for t in slots])]
-        case "finit":
-            keep_tags = {("f",), ("c", node.principal)}
-            chain, _, final_slots = _weak_away(sig, u_ctx, slots, keep_tags)
-            atom_pos = _slot_pos(final_slots, ("f",))
-            neg_pos = _slot_pos(final_slots, ("c", node.principal))
-            return chain + [UProof(uf.INIT, pair=(atom_pos, neg_pos))], []
-        case "f1":
-            chain, _, _ = _weak_away(sig, u_ctx, slots, {("f",)})
-            return chain + [UProof(uf.ONE_RULE)], []
-        case "fplus1" | "fplus2":
-            p = _slot_pos(slots, ("f",))
-            head = UProof(uf.PLUS1 if rule == "fplus1" else uf.PLUS2, principal=p)
-            return [head], [(_apply(sig, u_ctx, head), slots)]
-        case "fbang":
-            kept = sorted(node.kept)
-            keep_tags = {("f",)} | {("c", i) for i in kept}
-            chain, cur_ctx, cur_slots = _weak_away(sig, u_ctx, slots, keep_tags)
-            head = UProof(uf.BANG, principal=_slot_pos(cur_slots, ("f",)))
-            rank = {i: r for r, i in enumerate(kept)}
-            sub_slots = [
-                ("c", len(kept)) if t == ("f",) else ("c", rank[t[1]]) for t in cur_slots
-            ]
-            return chain + [head], [(_apply(sig, cur_ctx, head), sub_slots)]
-        case "ftensor":
-            kept = sorted(node.kept)
-            split = set(node.split)
-            rest = set(range(n)) - set(kept) - split
-            # one explicit contraction per copied formula, highest position first
-            chain: list[UProof] = []
-            cur_ctx, cur_slots = u_ctx, list(slots)
-            for i in sorted(kept, key=lambda i: -_slot_pos(cur_slots, ("c", i))):
-                p = _slot_pos(cur_slots, ("c", i))
-                contr = UProof(uf.CONTR, principal=p)
-                cur_ctx = _apply(sig, cur_ctx, contr)
-                cur_slots = cur_slots[: p + 1] + [("d", i)] + cur_slots[p + 1 :]
-                chain.append(contr)
-            fpos = _slot_pos(cur_slots, ("f",))
-            left_tags = {("c", i) for i in kept} | {("c", j) for j in split}
-            left_positions = tuple(
-                sorted(j for j, t in enumerate(cur_slots) if t in left_tags)
-            )
-            head = UProof(uf.TENSOR, principal=fpos, split=left_positions)
-            plans = uf.premise_plans(sig, cur_ctx, head)
-            sides = []
-            for k, members in enumerate((sorted(set(kept) | split), sorted(set(kept) | rest))):
-                rank = {i: r for r, i in enumerate(members)}
-                side_slots = []
-                for src in plans[k]:
-                    if src[0] == "part":
-                        side_slots.append(("f",))
-                    else:
-                        t = cur_slots[src[1]]
-                        side_slots.append(("c", rank[t[1]]))
-                sides.append((uf.materialize(cur_ctx, plans[k]), side_slots))
-            return chain + [head], sides
-        case "par" | "bot" | "with" | "top":
+            # contraction then dereliction put the body right after the
+            # formula; a fresh occurrence, since the formula stays to be
+            # decided again
             i = node.principal
-            head = UProof(rule, principal=_slot_pos(slots, ("c", i)))
-            sides = []
-            for plan in uf.premise_plans(sig, u_ctx, head):
-                sub_slots = []
-                for src in plan:
-                    if src[0] == "part":
-                        # par introduces two context formulas at i and i + 1
-                        if rule == "par":
-                            sub_slots.append(("c", i + src[2]))
-                        else:
-                            sub_slots.append(("c", i))
-                    else:
-                        t = slots[src[1]]
-                        if rule == "par" and t[0] == "c" and t[1] > i:
-                            sub_slots.append(("c", t[1] + 1))
-                        elif rule == "bot" and t[0] == "c" and t[1] > i:
-                            sub_slots.append(("c", t[1] - 1))
-                        else:
-                            sub_slots.append(t)
-                sides.append((uf.materialize(u_ctx, plan), sub_slots))
-            return [head], sides
-    raise AssertionError(f"unhandled rule {rule!r}")
-
-
-def _weak_away(
-    sig: Signature, u_ctx: Context, slots: list, keep_tags: set
-) -> tuple[list[UProof], Context, list]:
-    """Delete every slot not in ``keep_tags`` with weakening, highest first."""
-    chain: list[UProof] = []
-    cur_ctx, cur_slots = u_ctx, list(slots)
-    for p in sorted((j for j, t in enumerate(cur_slots) if t not in keep_tags), reverse=True):
-        head = UProof(uf.WEAK, principal=p)
-        cur_ctx = _apply(sig, cur_ctx, head)
-        del cur_slots[p]
-        chain.append(head)
-    return chain, cur_ctx, cur_slots
-
+            p = slots.context.index(tags.context[i])
+            fresh = Occurrence()
+            plan = ((("run", 0, p + 1), ("focus",), ("run", p + 1, len(u.context))), NO_FOCUS)
+            return [UProof(uf.CONTR, principal=p), UProof(uf.QM, principal=p + 1)], [(
+                materialize(plan, FSequent(u.context, fseq.context[i].body)),
+                materialize(plan, FSequent(slots.context, fresh)),
+                FSequent(tags.context, fresh),
+            )]
+        case "finit" | "f1" | "fbang":
+            keep = [tags.focus]
+            if rule == FINIT:
+                keep.append(tags.context[node.principal])
+            elif rule == FBANG:
+                keep.extend(map(tags.context.__getitem__, node.kept))
+            # weaken away every other slot, highest position first
+            kept = sorted(map(slots.context.index, keep))
+            gone = sorted(set(range(len(slots.context))).difference(kept), reverse=True)
+            chain = [UProof(uf.WEAK, principal=p) for p in gone]
+            plan = ((("pick", tuple(kept)),), NO_FOCUS)
+            u, slots = materialize(plan, u), materialize(plan, slots)
+            if rule == FONE:
+                return chain + [UProof(uf.ONE_RULE)], []
+            if rule == FINIT:
+                return chain + [UProof(uf.INIT, pair=tuple(map(slots.context.index, keep)))], []
+            head = UProof(uf.BANG, principal=slots.context.index(tags.focus))
+            return chain + [head], emit(head, u, slots)
+        case "ftensor":
+            # one explicit contraction per copied formula, highest position
+            # first; each original stays left of its copy and goes left
+            copied = sorted(slots.context.index(tags.context[i]) for i in node.kept)
+            segments, lo = [], 0
+            for p in copied:
+                segments += [("run", lo, p + 1), ("copy", p)]
+                lo = p + 1
+            segments.append(("run", lo, len(u.context)))
+            plan = (tuple(segments), NO_FOCUS)
+            u, slots = materialize(plan, u), materialize(plan, slots)
+            left = map(tags.context.__getitem__, (*node.kept, *node.split))
+            head = UProof(
+                uf.TENSOR,
+                principal=slots.context.index(tags.focus),
+                split=tuple(sorted(map(slots.context.index, left))),
+            )
+            contractions = [UProof(uf.CONTR, principal=p) for p in reversed(copied)]
+            return contractions + [head], emit(head, u, slots)
+        case _:
+            at = tags.focus if rule in (FPLUS1, FPLUS2) else tags.context[node.principal]
+            head = UProof(_ONE_POSITION.get(rule, rule), principal=slots.context.index(at))
+            return [head], emit(head, u, slots)

@@ -12,6 +12,22 @@ import enum
 from dataclasses import dataclass
 
 
+class _Binary:
+    __slots__ = ()
+
+    def part(self, k: int) -> "Formula":
+        """Immediate subformula ``k``: 0 is the left one, 1 the right one."""
+        return self.right if k else self.left
+
+
+class _Unary:
+    __slots__ = ()
+
+    def part(self, k: int) -> "Formula":
+        """The body, the only immediate subformula."""
+        return self.body
+
+
 @dataclass(frozen=True, slots=True)
 class Atom:
     name: str
@@ -23,7 +39,7 @@ class NegAtom:
 
 
 @dataclass(frozen=True, slots=True)
-class Tensor:
+class Tensor(_Binary):
     left: "Formula"
     right: "Formula"
 
@@ -34,7 +50,7 @@ class One:
 
 
 @dataclass(frozen=True, slots=True)
-class Plus:
+class Plus(_Binary):
     left: "Formula"
     right: "Formula"
 
@@ -45,7 +61,7 @@ class Zero:
 
 
 @dataclass(frozen=True, slots=True)
-class Par:
+class Par(_Binary):
     left: "Formula"
     right: "Formula"
 
@@ -56,7 +72,7 @@ class Bot:
 
 
 @dataclass(frozen=True, slots=True)
-class With:
+class With(_Binary):
     left: "Formula"
     right: "Formula"
 
@@ -67,13 +83,13 @@ class Top:
 
 
 @dataclass(frozen=True, slots=True)
-class Bang:
+class Bang(_Unary):
     label: str
     body: "Formula"
 
 
 @dataclass(frozen=True, slots=True)
-class Qm:
+class Qm(_Unary):
     label: str
     body: "Formula"
 
@@ -209,3 +225,12 @@ class Sequent:
 
     def __len__(self) -> int:
         return len(self.context)
+
+
+@dataclass(frozen=True, slots=True)
+class FSequent:
+    """A context plus at most one formula under focus; unfocused sequents
+    have none.  Both calculi lay out their premises over it."""
+
+    context: Context
+    focus: Formula | None = None

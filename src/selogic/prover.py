@@ -66,7 +66,6 @@ from .focusing import (
     UDECIDE,
     FProof,
     FSequent,
-    fmaterialize,
     fpremise_plans,
     is_neutral,
     is_neutral_formula,
@@ -90,7 +89,7 @@ from .formulas import (
     intern_table,
 )
 from .signatures import Signature, is_unbounded, leq
-from .unfocused import BOT_RULE, PAR, TOP_RULE, WITH, tensor_splits, validate_labels
+from .unfocused import BOT_RULE, PAR, TOP_RULE, WITH, materialize, tensor_splits, validate_labels
 
 
 @dataclass(slots=True)
@@ -213,7 +212,7 @@ class _Searcher:
         """
         subs = []
         for plan in fpremise_plans(self.sig, fseq, head):
-            sub, cutoff = self.search(fmaterialize(fseq, plan), budget, used)
+            sub, cutoff = self.search(materialize(plan, fseq), budget, used)
             if sub is None:
                 return None, cutoff
             subs.append(sub)

@@ -44,13 +44,12 @@ from .focusing import (
     FProof,
     FSequent,
     checked_nodes,
-    fpremises_of,
+    fpremise_plans,
 )
 from .formulas import ONE, Atom, Bang, Context, Formula, NegAtom, Par, Qm, Tensor
 from .minsky import (
     DECRA,
     HALT,
-    INCRA,
     Configuration,
     Entry,
     Machine,
@@ -60,7 +59,7 @@ from .minsky import (
     validate_machine,
 )
 from .signatures import Signature, close_signature
-from .unfocused import PAR
+from .unfocused import PAR, materialize
 
 LABEL_INF = "inf"
 LABEL_A = "a"
@@ -158,18 +157,21 @@ def encode_halting(m: Machine, init: Configuration) -> ReductionBundle:
     )
 
 
-def _w(head: FProof, *subs: FProof) -> FProof:
-    return replace(head, premises=subs)
+#: The promotion side of a decrement: the focused bang keeps the lone
+#: register token, whose negated atom then meets the body.
+_CONSUME_TOKEN = FProof(FBANG, kept=(0,), premises=(FProof(LDECIDE, principal=0, premises=(
+    FProof(BLUR, premises=(FProof(DECIDE, principal=0, premises=(FProof(FINIT, principal=0),)),)),
+)),))
 
 
 class _Builder:
     """Builds the canonical certificate for a replayed halting run.
 
-    Intermediate sequents are recomputed through the checker's premise
-    plans at every application, so a construction bug cannot produce an
-    ill-formed certificate — it fails loudly instead.  The context suffix
-    after the table is tracked as a tag list: "a"/"b" for register tokens,
-    "s" for the state atom's negation, "h" for the halt token.
+    Every spine sequent is recomputed through the checker's premise plans,
+    so a construction bug cannot produce an ill-formed certificate — it
+    fails loudly instead — and positions are read off the sequent itself:
+    after the table the context holds only register tokens and one negated
+    atom, the current state's or, once halt fired, the halt token's.
 
     The certificate is one spine: every node on it continues the run in its
     last premise, and only closed side branches hang off to the left.  The
@@ -189,84 +191,67 @@ class _Builder:
     def _push(self, fseq: FSequent, head: FProof, *left: FProof) -> FSequent:
         """Put ``head`` on the spine; the sequent of its last premise."""
         self.spine.append((head, left))
-        return fpremises_of(self.sig, fseq, head)[-1]
+        return materialize(fpremise_plans(self.sig, fseq, head)[-1], fseq)
 
-    def _apply1(self, fseq: FSequent, head: FProof) -> FSequent:
-        (prem,) = fpremises_of(self.sig, fseq, head)
-        return prem
+    # Both lookups compare at C speed, by type or by identity; a dataclass
+    # ``==`` would run in Python for every formula it passes.
+
+    def _anchor(self, fseq: FSequent) -> int:
+        """Position of the context's one negated atom."""
+        return [*map(type, fseq.context)].index(NegAtom, self.k)
+
+    def _token(self, fseq: FSequent, tok: Formula) -> int:
+        """Position of the first register token ``tok``, or -1 when none is left."""
+        try:
+            return [*map(id, fseq.context)].index(id(tok), self.k)
+        except ValueError:
+            return -1
 
     def certificate(self, fired: Sequence[Entry]) -> FProof:
-        init = self.bundle.init
-        tail = ["a"] * init.a + ["b"] * init.b + ["s"]
         fseq = FSequent(self.bundle.goal)
         for e in fired:
-            fseq, tail = self._fire(fseq, tail, e)
+            fseq = self._fire(fseq, e)
         # burn leftover register tokens after the halt element fired
-        for tok, element in (("a", self.bundle.drain_a), ("b", self.bundle.drain_b)):
-            while tok in tail:
+        for tok, element in ((A_TOKEN, self.bundle.drain_a), (B_TOKEN, self.bundle.drain_b)):
+            while (t_pos := self._token(fseq, tok)) >= 0:
                 fseq = self._push(fseq, FProof(UDECIDE, principal=element))
-                fseq, tail = self._spend(fseq, tail, "h", tok)
+                fseq = self._spend(fseq, t_pos)
         fseq = self._push(fseq, FProof(UDECIDE, principal=self.bundle.finisher))
-        t = FProof(FTENSOR, kept=(), split=(self.k + tail.index("h"),))
+        t = FProof(FTENSOR, kept=(), split=(self._anchor(fseq),))
         fseq = self._push(fseq, t, FProof(FINIT, principal=0))
         fseq = self._push(fseq, FProof(FBANG, kept=()))
         self._push(fseq, FProof(DECIDE, principal=0))
         proof = FProof(FONE)
         for head, left in reversed(self.spine):
-            proof = _w(head, *left, proof)
+            proof = replace(head, premises=(*left, proof))
         return proof
 
-    def _fire(self, fseq: FSequent, tail: list[str], e: Entry) -> tuple[FSequent, list[str]]:
+    def _fire(self, fseq: FSequent, e: Entry) -> FSequent:
         fseq = self._push(fseq, FProof(UDECIDE, principal=self.element_at[e]))
         if e.instruction in ("decra", "decrb"):
-            return self._spend(fseq, tail, "s", "a" if e.instruction == DECRA else "b")
-        t = FProof(FTENSOR, kept=(), split=(self.k + tail.index("s"),))
+            return self._spend(fseq, self._token(fseq, A_TOKEN if e.instruction == DECRA else B_TOKEN))
+        t = FProof(FTENSOR, kept=(), split=(self._anchor(fseq),))
         rf = self._push(fseq, t, FProof(FINIT, principal=0))
-        tail = [x for x in tail if x != "s"]
         match e.instruction:
             case "incra" | "incrb":
                 rf = self._push(rf, FProof(BLUR))
-                rf = self._push(rf, FProof(PAR, principal=len(rf.context) - 1))
-                return rf, tail + ["s", "a" if e.instruction == INCRA else "b"]
+                return self._push(rf, FProof(PAR, principal=len(rf.context) - 1))
             case "isza" | "iszb":
-                rf = self._push(rf, FProof(FBANG, kept=tuple(range(len(rf.context)))))
-                return rf, tail + ["s"]
+                return self._push(rf, FProof(FBANG, kept=tuple(range(len(rf.context)))))
             case "halt":
-                return self._push(rf, FProof(BLUR)), tail + ["h"]
+                return self._push(rf, FProof(BLUR))
         raise AssertionError(f"unknown instruction {e.instruction!r}")
 
-    def _spend(self, fseq: FSequent, tail: list[str], anchor: str, tok: str):
+    def _spend(self, fseq: FSequent, t_pos: int) -> FSequent:
         """Shared shape of decrements and drains: a nested tensor consumes
-        one register token plus the anchor atom's negation, and the right
-        branch resumes with a fresh anchor negation appended."""
-        a_pos = self.k + tail.index(anchor)
-        t_pos = self.k + tail.index(tok)
-        split = tuple(sorted((a_pos, t_pos)))
-        outer = FProof(FTENSOR, kept=(), split=split)
-        lf, rf = fpremises_of(self.sig, fseq, outer)
-        left_tail = [tail[p - self.k] for p in split]
-        inner = FProof(FTENSOR, kept=(), split=(left_tail.index(anchor),))
-        _, lrf = fpremises_of(self.sig, lf, inner)
-        left = _w(inner, FProof(FINIT, principal=0), self._consume_token(lrf))
-        self.spine.append((outer, (left,)))
-        rf = self._push(rf, FProof(BLUR))
-        new_tail = list(tail)
-        new_tail.remove(tok)
-        new_tail.remove(anchor)
-        new_tail.append(anchor)
-        return rf, new_tail
-
-    def _consume_token(self, fseq: FSequent) -> FProof:
-        """Close the promotion side of a decrement: the focused bang keeps
-        the lone register token, whose negated atom then meets the body."""
-        bang = FProof(FBANG, kept=(0,))
-        f = self._apply1(fseq, bang)
-        ld = FProof(LDECIDE, principal=0)
-        f = self._apply1(f, ld)
-        blur = FProof(BLUR)
-        f = self._apply1(f, blur)
-        dec = FProof(DECIDE, principal=0)
-        return _w(bang, _w(ld, _w(blur, _w(dec, FProof(FINIT, principal=0)))))
+        the register token at ``t_pos`` plus the anchor atom's negation, and
+        the right branch resumes with a fresh anchor negation appended."""
+        a_pos = self._anchor(fseq)
+        outer = FProof(FTENSOR, kept=(), split=tuple(sorted((a_pos, t_pos))))
+        # the left premise holds the anchor and the token in context order
+        inner = FProof(FTENSOR, kept=(), split=(int(t_pos < a_pos),))
+        left = replace(inner, premises=(FProof(FINIT, principal=0), _CONSUME_TOKEN))
+        return self._push(self._push(fseq, outer, left), FProof(BLUR))
 
 
 def proof_from_trace(bundle: ReductionBundle, trace: Sequence[str]) -> FProof:
@@ -322,7 +307,7 @@ def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
     out: list[str] = []
     try:
         walk = checked_nodes(sig, FSequent(bundle.goal), proof)
-        for i, (node, fseq, parent) in enumerate(walk):
+        for i, (node, fseq, _, parent) in enumerate(walk):
             here = nearest[parent] if parent >= 0 else -1
             if node.rule == UDECIDE:
                 try:

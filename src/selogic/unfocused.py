@@ -2,10 +2,15 @@
 
 A certificate is a tree of rule applications that addresses the conclusion
 context positionally, so checking is deterministic: every node determines
-its premise contexts exactly.  The same premise computation
-(:func:`premise_plans` / :func:`premises_of`) also drives the bounded proof
-search used as a test oracle and the positional bookkeeping needed to
-re-index proofs under context permutations.
+its premise contexts exactly.  The premise computation is the kernel
+that both calculi share: :func:`premise_plans` validates a rule and lays
+out each premise as a plan, a short list of segments over the conclusion
+(runs and picks of kept positions plus the few new formulas), and
+:func:`materialize` joins those segments into the premise at C speed.
+The same plans drive the checking walk, the bounded proof search used as
+a test oracle, the positional bookkeeping that re-indexes proofs under
+context permutations, and, in the focused calculus, the prover and
+defocusing.
 
 Rule tags::
 
@@ -25,6 +30,7 @@ Rule tags::
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Iterator
@@ -36,6 +42,7 @@ from .formulas import (
     Bot,
     Context,
     Formula,
+    FSequent,
     NegAtom,
     ONE,
     Par,
@@ -81,53 +88,109 @@ class UProof:
     premises: tuple["UProof", ...] = ()
 
 
-# A premise "plan" describes each premise slot as a source in the conclusion:
-#   ("keep", i)     the formula at position i, unchanged
-#   ("part", i, k)  immediate subformula k of the formula at i (0=left/body)
-#   ("copy", i)     a contraction duplicate of the formula at i
-Source = tuple
-Plan = list
+# A premise plan is a pair of segment tuples over the conclusion: the
+# premise's context, then its focus (empty, or one segment for one formula).
+#   ("run", lo, hi)     positions lo..hi-1 of the context, unchanged
+#   ("pick", (i, ...))  the formulas at scattered positions, in that order
+#   ("part", i, k)      immediate subformula k of the formula at i (0=left/body)
+#   ("copy", i)         a contraction duplicate of the formula at i
+#   ("focus",)          the conclusion's focus
+#   ("fpart", k)        immediate subformula k of the focus
+Plan = tuple[tuple[tuple, ...], tuple[tuple, ...]]
+NO_FOCUS = ()
 
 
-def _part(f: Formula, k: int) -> Formula:
-    match f:
-        case Tensor(a, b) | Plus(a, b) | Par(a, b) | With(a, b):
-            return a if k == 0 else b
-        case Bang(_, body) | Qm(_, body):
-            return body
-    raise ValueError(f"formula has no part {k}: {f!r}")
+def materialize(plan: Plan, seq: FSequent) -> FSequent:
+    """The premise that ``plan`` lays out over the conclusion ``seq``.
+
+    Runs and picks copy at C speed, and each new formula is one step, so a
+    rule that changes one position of a long context costs about one tuple
+    copy.  Entries need only know their parts, so plans move
+    :class:`Occurrence` stand-ins exactly as they move formulas.
+    """
+    ctx, focus = seq.context, seq.focus
+    out = []
+    for segments in plan:
+        if len(segments) == 1 and segments[0][0] == "run":
+            out.append(ctx[segments[0][1] : segments[0][2]])
+            continue
+        joined: list = []
+        for seg in segments:
+            kind = seg[0]
+            if kind == "run":
+                joined += ctx[seg[1] : seg[2]]
+            elif kind == "pick":
+                joined += map(ctx.__getitem__, seg[1])
+            elif kind == "part":
+                joined.append(ctx[seg[1]].part(seg[2]))
+            elif kind == "copy":
+                joined.append(ctx[seg[1]])
+            elif kind == "focus":
+                joined.append(focus)
+            else:
+                joined.append(focus.part(seg[1]))
+        out.append(joined)
+    new_ctx, new_focus = out
+    return FSequent(tuple(new_ctx), new_focus[0] if new_focus else None)
 
 
-def resolve(ctx: Context, src: Source) -> Formula:
-    if src[0] == "part":
-        return _part(ctx[src[1]], src[2])
-    return ctx[src[1]]
+class Occurrence:
+    """A stand-in for one formula occurrence, so plans can move positions.
+
+    Plans move occurrences as they move formulas.  Each part of an
+    occurrence is made once, so two plans that take the same occurrence
+    apart agree on its parts.  Occurrences compare by identity, which keeps
+    ``tuple.index`` over them at C speed.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self):
+        self.parts: dict[int, Occurrence] = {}
+
+    def part(self, k: int) -> "Occurrence":
+        p = self.parts.get(k)
+        if p is None:
+            p = self.parts[k] = Occurrence()
+        return p
 
 
-def materialize(ctx: Context, plan: Plan) -> Context:
-    return tuple(resolve(ctx, src) for src in plan)
+def around(n: int, p: int, *new: tuple) -> tuple:
+    """Context segments that replace position ``p`` of ``n`` by the ``new`` sources."""
+    return ("run", 0, p), *new, ("run", p + 1, n)
+
+
+def runs(lo: int, hi: int, gone) -> list[tuple]:
+    """Run segments over positions lo..hi-1 that skip the sorted ``gone``."""
+    segments = []
+    for g in gone:
+        if lo < g:
+            segments.append(("run", lo, g))
+        lo = g + 1
+    if lo < hi:
+        segments.append(("run", lo, hi))
+    return segments
 
 
 def _fail(reason: Reason, message: str):
     raise CheckError(reason, message)
 
 
-def premise_plans(sig: Signature, ctx: Context, node: UProof) -> list[Plan]:
-    """Validate one rule application and lay out its premise contexts.
+def premise_plans(sig: Signature, seq: FSequent, node: UProof) -> list[Plan]:
+    """Validate one rule application and lay out its premises.
 
     Raises :class:`CheckError` (with an empty path; :func:`checked_nodes`
-    fills it in) when the node does not apply to ``ctx``.
+    fills it in) when the node does not apply to ``seq``.
     """
+    ctx = seq.context
     n = len(ctx)
     rule = node.rule
+    p = node.principal
 
     def principal() -> Formula:
-        p = node.principal
         if p is None or not 0 <= p < n:
             _fail(Reason.CONTEXT_MISMATCH, f"position {p} out of range for context of {n}")
         return ctx[p]
-
-    keeps = lambda it: [("keep", i) for i in it]
 
     match rule:
         case "init":
@@ -149,34 +212,27 @@ def premise_plans(sig: Signature, ctx: Context, node: UProof) -> list[Plan]:
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not top")
             return []
         case "par":
-            p = node.principal
             if not isinstance(principal(), Par):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not a par")
-            return [keeps(range(p)) + [("part", p, 0), ("part", p, 1)] + keeps(range(p + 1, n))]
+            return [(around(n, p, ("part", p, 0), ("part", p, 1)), NO_FOCUS)]
         case "bot":
-            p = node.principal
             if not isinstance(principal(), Bot):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not bot")
-            return [keeps(i for i in range(n) if i != p)]
+            return [(around(n, p), NO_FOCUS)]
         case "with":
-            p = node.principal
             if not isinstance(principal(), With):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not a with")
-            side = lambda k: keeps(range(p)) + [("part", p, k)] + keeps(range(p + 1, n))
-            return [side(0), side(1)]
+            return [(around(n, p, ("part", p, k)), NO_FOCUS) for k in (0, 1)]
         case "plus1" | "plus2":
-            p = node.principal
             if not isinstance(principal(), Plus):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not a plus")
             k = 0 if rule == "plus1" else 1
-            return [keeps(range(p)) + [("part", p, k)] + keeps(range(p + 1, n))]
+            return [(around(n, p, ("part", p, k)), NO_FOCUS)]
         case "qm":
-            p = node.principal
             if not isinstance(principal(), Qm):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not question-marked")
-            return [keeps(range(p)) + [("part", p, 0)] + keeps(range(p + 1, n))]
+            return [(around(n, p, ("part", p, 0)), NO_FOCUS)]
         case "bang":
-            p = node.principal
             f = principal()
             if not isinstance(f, Bang):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not banged")
@@ -190,25 +246,22 @@ def premise_plans(sig: Signature, ctx: Context, node: UProof) -> list[Plan]:
                         f"promotion of !{f.label} over a context formula that is not "
                         f"question-marked at a label above {f.label!r}",
                     )
-            return [keeps(range(p)) + [("part", p, 0)] + keeps(range(p + 1, n))]
+            return [(around(n, p, ("part", p, 0)), NO_FOCUS)]
         case "weak":
-            p = node.principal
             f = principal()
             if not isinstance(f, Qm):
                 _fail(Reason.CONTEXT_MISMATCH, "weakening needs a question-marked formula")
             if not is_unbounded(sig, f.label):
                 _fail(Reason.STRUCTURAL_ON_BOUNDED, f"label {f.label!r} does not admit weakening")
-            return [keeps(i for i in range(n) if i != p)]
+            return [(around(n, p), NO_FOCUS)]
         case "contr":
-            p = node.principal
             f = principal()
             if not isinstance(f, Qm):
                 _fail(Reason.CONTEXT_MISMATCH, "contraction needs a question-marked formula")
             if not is_unbounded(sig, f.label):
                 _fail(Reason.STRUCTURAL_ON_BOUNDED, f"label {f.label!r} does not admit contraction")
-            return [keeps(range(p + 1)) + [("copy", p)] + keeps(range(p + 1, n))]
+            return [((("run", 0, p + 1), ("copy", p), ("run", p + 1, n)), NO_FOCUS)]
         case "tensor":
-            p = node.principal
             f = principal()
             if not isinstance(f, Tensor):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not a tensor")
@@ -217,19 +270,17 @@ def premise_plans(sig: Signature, ctx: Context, node: UProof) -> list[Plan]:
             split = set(node.split)
             if len(split) != len(node.split):
                 _fail(Reason.CONTEXT_MISMATCH, "tensor split repeats a position")
-            others = set(range(n)) - {p}
-            if not split <= others:
+            if not all(0 <= i < n and i != p for i in split):
                 _fail(Reason.CONTEXT_MISMATCH, "tensor split positions out of range")
-            left = sorted(split | {p})
-            right = sorted((others - split) | {p})
-            plan = lambda poss, k: [("part", p, k) if i == p else ("keep", i) for i in poss]
-            return [plan(left, 0), plan(right, 1)]
+            left = sorted(split)
+            cut = bisect(left, p)
+            below, above = left[:cut], left[cut:]
+            return [
+                ((("pick", tuple(below)), ("part", p, 0), ("pick", tuple(above))), NO_FOCUS),
+                ((*runs(0, p, below), ("part", p, 1), *runs(p + 1, n, above)), NO_FOCUS),
+            ]
         case _:
             _fail(Reason.CONTEXT_MISMATCH, f"unknown rule tag {rule!r}")
-
-
-def premises_of(sig: Signature, ctx: Context, node: UProof) -> tuple[Context, ...]:
-    return tuple(materialize(ctx, plan) for plan in premise_plans(sig, ctx, node))
 
 
 def validate_labels(sig: Signature, ctx: Context) -> None:
@@ -242,26 +293,24 @@ def validate_labels(sig: Signature, ctx: Context) -> None:
 def check_unfocused(sig: Signature, goal: Sequent, proof: UProof) -> None:
     """Accept or reject a certificate; raises :class:`CheckError` to reject."""
     validate_labels(sig, goal.context)
-    for _ in checked_nodes(sig, premise_plans, materialize, goal.context, proof):
+    for _ in checked_nodes(sig, premise_plans, FSequent(goal.context), proof):
         pass
 
 
-def checked_nodes(sig: Signature, plans_of, materialize_plan, goal, proof):
-    """Check a certificate node by node, yielding ``(node, sequent, parent)``.
+def checked_nodes(sig: Signature, plans_of, goal: FSequent, proof):
+    """Check a certificate node by node, yielding ``(node, sequent, plans, parent)``.
 
     The one walk behind both checkers, defocusing and trace extraction:
     ``plans_of`` is :func:`premise_plans` or the focused
-    ``fpremise_plans``, ``materialize_plan`` the matching materializer, and
-    ``goal`` the root's context or focused sequent.  Nodes come in
-    pre-order, left premise first, each after its rule and arity have been
-    validated; ``parent`` is the pre-order index of the parent node, -1 at
-    the root.  The first invalid node in that order raises
+    ``fpremise_plans``, and ``plans`` are the node's premise plans.  Nodes
+    come in pre-order, left premise first, each after its rule and arity
+    have been validated; ``parent`` is the pre-order index of the parent
+    node, -1 at the root.  The first invalid node in that order raises
     :class:`CheckError` with its path from the root.
 
     An explicit stack keeps depth free of the recursion limit.  A premise
     is materialized when its turn comes, and a path is rebuilt from the
-    parent links only when a node fails, so the walk stays linear in the
-    tree times the context size.
+    parent links only when a node fails.
     """
     parents: list[int] = []
     branch: list[int] = []  # which premise of its parent each node is
@@ -270,7 +319,7 @@ def checked_nodes(sig: Signature, plans_of, materialize_plan, goal, proof):
     while pending:
         parent, k, seq, plan, node = pending.pop()
         if plan is not None:
-            seq = materialize_plan(seq, plan)
+            seq = materialize(plan, seq)
         i += 1
         parents.append(parent)
         branch.append(k)
@@ -288,7 +337,7 @@ def checked_nodes(sig: Signature, plans_of, materialize_plan, goal, proof):
                 path.append(branch[i])
                 i = parents[i]
             raise CheckError(e.reason, e.message, tuple(reversed(path))) from None
-        yield node, seq, parent
+        yield node, seq, plans, parent
         for k in range(len(plans) - 1, -1, -1):
             pending.append((i, k, seq, plans[k], node.premises[k]))
 
@@ -374,7 +423,7 @@ def search_unfocused(
     fails: dict = {}
     for cap in range(max_contractions + 1):
         for proof, _rules, _contr in _derivations(
-            sig, table, goal.context, max_rules, cap, fails, {}, 0, [_FAR]
+            sig, table, FSequent(goal.context), max_rules, cap, fails, {}, 0, [_FAR]
         ):
             return proof
     return None
@@ -471,7 +520,7 @@ _FAR = 10**9  # deeper than any path can reach
 def _derivations(
     sig: Signature,
     table: dict[int, int],
-    ctx: Context,
+    seq: FSequent,
     rules_left: int,
     contr_left: int,
     fails: dict,
@@ -480,7 +529,7 @@ def _derivations(
     low: list,
 ) -> Iterator[tuple[UProof, int, int]]:
     """Yield (proof, rules used, contractions used) for every cycle-free
-    derivation of ``ctx`` within the budget, in deterministic order.
+    derivation of ``seq`` within the budget, in deterministic order.
 
     ``path`` maps each ancestor context of this premise to its depth.
     Meeting one again is pruned: budgets only shrink downward, so any
@@ -501,7 +550,7 @@ def _derivations(
     try:
         if rules_left <= 0:
             return
-        key = context_key(table, ctx)
+        key = context_key(table, seq.context)
         for rl, cl in fails.get(key, ()):
             if rules_left <= rl and contr_left <= cl:
                 return
@@ -512,9 +561,9 @@ def _derivations(
         below = {**path, key: depth}
         yielded = False
         seen: set = set()
-        for head, ccost in _moves(sig, table, ctx, contr_left):
-            prems = premises_of(sig, ctx, head)
-            dedup = (head.rule, tuple(context_key(table, p) for p in prems))
+        for head, ccost in _moves(sig, table, seq.context, contr_left):
+            prems = [materialize(plan, seq) for plan in premise_plans(sig, seq, head)]
+            dedup = (head.rule, tuple(context_key(table, p.context) for p in prems))
             if dedup in seen:
                 continue
             seen.add(dedup)
@@ -566,27 +615,23 @@ def _derivations(
 
 # --- positional re-indexing -------------------------------------------------
 
-def _translate(src: Source, inv: list[int]) -> Source:
-    if src[0] == "part":
-        return ("part", inv[src[1]], src[2])
-    return (src[0], inv[src[1]])
-
-
 def permute_proof(sig: Signature, ctx: Context, proof: UProof, perm: tuple[int, ...]) -> UProof:
     """Re-index ``proof`` so it checks against the permuted context
     ``tuple(ctx[p] for p in perm)``.
 
     ``perm`` lists, for each new position, the old position it draws from.
-    The premise-plan sources let each premise's induced permutation be read
-    off mechanically, so the transformation works for arbitrary certificates.
-    One explicit-stack pass visits the nodes in pre-order, each with its old
-    context and permutation, and :func:`assemble` builds the result.
+    Each premise's induced permutation is read off by moving one
+    :class:`Occurrence` per conclusion position through the old and the new
+    node's plans; a contraction's original and copy share an occurrence and
+    keep their order.  One explicit-stack pass visits the nodes in
+    pre-order, each with its old sequent and permutation, and
+    :func:`assemble` builds the result.
     """
     order: list[tuple[list, int]] = []
-    pending = [(ctx, proof, perm)]
+    pending = [(FSequent(ctx), proof, perm)]
     while pending:
-        ctx, proof, perm = pending.pop()
-        inv = [0] * len(ctx)
+        seq, proof, perm = pending.pop()
+        inv = [0] * len(perm)
         for new, old in enumerate(perm):
             inv[old] = new
         head = replace(proof, premises=())
@@ -596,12 +641,16 @@ def permute_proof(sig: Signature, ctx: Context, proof: UProof, perm: tuple[int, 
             pair=None if proof.pair is None else (inv[proof.pair[0]], inv[proof.pair[1]]),
             split=None if proof.split is None else tuple(sorted(inv[i] for i in proof.split)),
         )
-        old_plans = premise_plans(sig, ctx, head)
-        new_plans = premise_plans(sig, tuple(ctx[p] for p in perm), new_head)
+        permuted = ((("pick", perm),), NO_FOCUS)
+        old_plans = premise_plans(sig, seq, head)
+        new_plans = premise_plans(sig, materialize(permuted, seq), new_head)
+        tags = FSequent(tuple(Occurrence() for _ in perm))
+        new_tags = materialize(permuted, tags)
         order.append(([new_head], len(proof.premises)))
         for k in range(len(proof.premises) - 1, -1, -1):
-            translated = [_translate(src, inv) for src in old_plans[k]]
-            slot_of = {src: j for j, src in enumerate(translated)}
-            sub_perm = tuple(slot_of[src] for src in new_plans[k])
-            pending.append((materialize(ctx, old_plans[k]), proof.premises[k], sub_perm))
+            slots: dict[Occurrence, list[int]] = {}
+            for j, tag in enumerate(materialize(old_plans[k], tags).context):
+                slots.setdefault(tag, []).append(j)
+            sub_perm = tuple(slots[tag].pop(0) for tag in materialize(new_plans[k], new_tags).context)
+            pending.append((materialize(old_plans[k], seq), proof.premises[k], sub_perm))
     return assemble(order)

@@ -31,7 +31,7 @@ from selogic.focusing import (
     UDECIDE,
     check_focused,
     defocus,
-    fpremises_of,
+    fpremise_plans,
 )
 from selogic.formulas import (
     Atom,
@@ -54,8 +54,9 @@ from selogic.signatures import is_unbounded
 from selogic.unfocused import (
     check_unfocused,
     count_rule,
+    materialize,
     permute_proof,
-    premises_of,
+    premise_plans,
     proof_size,
     search_unfocused,
 )
@@ -159,15 +160,26 @@ F_PRINCIPAL_UNARY = (DECIDE, LDECIDE, UDECIDE, uf.PAR, uf.BOT_RULE)
 F_NO_PRINCIPAL = (FPLUS1, FPLUS2, BLUR)
 
 
+def _premises(sig, ctx, node):
+    """The premise contexts of one unfocused rule, through the plan kernel."""
+    seq = FSequent(ctx)
+    return tuple(materialize(plan, seq).context for plan in premise_plans(sig, seq, node))
+
+
+def _fpremises(sig, goal, node):
+    """The premise sequents of one focused rule, through the plan kernel."""
+    return tuple(materialize(plan, goal) for plan in fpremise_plans(sig, goal, node))
+
+
 def _u_nodes(sig, ctx, node, path=()):
     yield path, ctx, node
-    for k, (sub_ctx, sub) in enumerate(zip(premises_of(sig, ctx, node), node.premises)):
+    for k, (sub_ctx, sub) in enumerate(zip(_premises(sig, ctx, node), node.premises)):
         yield from _u_nodes(sig, sub_ctx, sub, path + (k,))
 
 
 def _f_nodes(sig, goal, node, path=()):
     yield path, goal, node
-    for k, (sub_goal, sub) in enumerate(zip(fpremises_of(sig, goal, node), node.premises)):
+    for k, (sub_goal, sub) in enumerate(zip(_fpremises(sig, goal, node), node.premises)):
         yield from _f_nodes(sig, sub_goal, sub, path + (k,))
 
 
@@ -277,7 +289,7 @@ def test_criterion_3_certificates_sound_and_mutations_rejected():
     for sig, goal, proof in focused:
         check_focused(sig, goal, proof)
         for path, local, node in _f_nodes(sig, goal, proof):
-            base = fpremises_of(sig, local, node)
+            base = _fpremises(sig, local, node)
             for mut in _f_mutants(len(local.context), node):
                 tested += 1
                 whole = _graft(proof, path, mut)
@@ -289,7 +301,7 @@ def test_criterion_3_certificates_sound_and_mutations_rejected():
                         misplaced.append(("focused", path, mut.rule, e.path))
                     continue
                 equivalent += 1
-                if fpremises_of(sig, local, mut) == base:
+                if _fpremises(sig, local, mut) == base:
                     continue
                 try:
                     check_unfocused(sig, Sequent(goal.context), defocus(whole, sig, goal))
@@ -301,7 +313,7 @@ def test_criterion_3_certificates_sound_and_mutations_rejected():
         n = len(seq.context)
         reverse = tuple(reversed(range(n)))
         for path, ctx, node in _u_nodes(sig, seq.context, proof):
-            base = premises_of(sig, ctx, node)
+            base = _premises(sig, ctx, node)
             for mut in _u_mutants(len(ctx), node):
                 tested += 1
                 whole = _graft(proof, path, mut)
@@ -313,7 +325,7 @@ def test_criterion_3_certificates_sound_and_mutations_rejected():
                         misplaced.append(("unfocused", path, mut.rule, e.path))
                     continue
                 equivalent += 1
-                if premises_of(sig, ctx, mut) == base:
+                if _premises(sig, ctx, mut) == base:
                     continue
                 moved = permute_proof(sig, seq.context, whole, reverse)
                 try:
@@ -393,7 +405,7 @@ def test_criterion_5_bounded_decide_first_never_proves():
         for p, f in enumerate(bundle.goal):
             if not (isinstance(f, Qm) and not is_unbounded(bundle.signature, f.label)):
                 continue
-            premise, = fpremises_of(bundle.signature, goal, FProof(LDECIDE, principal=p))
+            premise, = _fpremises(bundle.signature, goal, FProof(LDECIDE, principal=p))
             out = prove_focused(bundle.signature, premise, max_decides=6)
             assert not isinstance(out, Proved), (name, p)
             assert not out.hit_node_cap, (name, p)

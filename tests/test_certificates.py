@@ -257,6 +257,26 @@ def test_six_hundred_step_roundtrip_under_the_default_recursion_limit(tmp_path, 
     assert time.perf_counter() - start < 30.0
 
 
+def test_twenty_four_hundred_step_roundtrip_under_the_default_recursion_limit(tmp_path, capsys):
+    # drain_a from a = 2400: each layer copies premise contexts by slices,
+    # so four times the run costs far less than sixteen times the time
+    m, _ = load_corpus("drain_a")
+    init = Configuration("q0", 2400, 0)
+    path = tmp_path / "drain_a_2400.2rm"
+    path.write_text(print_machine(m, init))
+    start = time.perf_counter()
+    assert main(["roundtrip", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "steps: 2402" in out
+    assert "agreement: yes" in out
+    bundle = encode_halting(m, init)
+    fp = proof_from_trace(bundle, run(m, init, 3000).trace)
+    up = defocus(fp, bundle.signature, FSequent(bundle.goal))
+    assert _same_tree(parse_focused_proof(print_focused_proof(fp)), fp)
+    assert _same_tree(parse_unfocused_proof(print_unfocused_proof(up)), up)
+    assert time.perf_counter() - start < 30.0
+
+
 def test_deep_text_parses_or_fails_with_a_parse_error():
     deep = "(blur " * 3000 + "(f1)" + ")" * 3000
     assert sum(1 for _ in proof_nodes(parse_focused_proof(deep))) == 3001

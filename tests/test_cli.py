@@ -210,3 +210,32 @@ def test_selftest_small_run(capsys):
     assert "machines: 7" in out
     assert "agreed: 7" in out
     assert out[-1] == "outcome: ok"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["prove", "halt_only", "--max-decides", "-1"], "--max-decides: must be at least 0, got -1"),
+        (["prove", "halt_only", "--max-nodes", "0"], "--max-nodes: must be at least 1, got 0"),
+        (["simulate", "loop", "--fuel", "-5"], "--fuel: must be at least 0, got -5"),
+        (["roundtrip", "incra_halt", "--fuel", "-1"], "--fuel: must be at least 0, got -1"),
+        (["selftest", "--count", "-3"], "--count: must be at least 0, got -3"),
+        (["selftest", "--count", "many"], "--count: not an integer: 'many'"),
+    ],
+)
+def test_impossible_budgets_are_input_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: selogic ")
+    assert captured.err.splitlines()[-1].endswith(f"error: argument {message}")
+    assert "Traceback" not in captured.err
+
+
+def test_smallest_budgets_are_accepted(capsys):
+    assert main(["prove", "halt_only", "--max-decides", "0", "--max-nodes", "1"]) == 1
+    assert "outcome: exhausted" in lines(capsys)
+    assert main(["simulate", "loop", "--fuel", "0"]) == 1
+    assert "steps: 0" in lines(capsys)

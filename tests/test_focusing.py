@@ -1,7 +1,8 @@
+import operator
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from selogic.errors import CheckError, Reason
 from selogic.focusing import (
@@ -10,6 +11,8 @@ from selogic.focusing import (
     FBANG,
     FINIT,
     FONE,
+    FPLUS1,
+    FPLUS2,
     FSequent,
     FProof,
     FTENSOR,
@@ -19,14 +22,24 @@ from selogic.focusing import (
     count_decides,
     defocus,
     fpremise_plans,
-    fpremises_of,
     is_neutral,
     is_neutral_formula,
 )
-from selogic.formulas import NegAtom, Polarity, Qm, Sequent, polarity
-from selogic.generators import random_context, random_signature
+from selogic.formulas import Bang, NegAtom, Par, Plus, Polarity, Qm, Sequent, Tensor, With, polarity
+from selogic.generators import random_context, random_formula, random_signature
 from selogic.parsing import parse_formula, parse_sequent
-from selogic.unfocused import check_unfocused, count_rule, proof_size, CONTR
+from selogic.signatures import is_unbounded, leq
+from selogic.unfocused import (
+    CONTR,
+    INIT,
+    TENSOR,
+    UProof,
+    check_unfocused,
+    count_rule,
+    materialize,
+    premise_plans,
+    proof_size,
+)
 
 
 def fgoal(text, focus=None):
@@ -66,6 +79,137 @@ def test_neutrality_by_type_agrees_with_polarity(seed):
     for f in parts:
         assert is_neutral_formula(f) == _neutral_by_polarity(f)
         assert is_neutral((f,)) == _neutral_by_polarity(f)
+
+
+# --- the plan kernel against the per-position layout it replaced ----------
+
+
+def _reference_part(f, k):
+    match f:
+        case Tensor(a, b) | Plus(a, b) | Par(a, b) | With(a, b):
+            return a if k == 0 else b
+        case Bang(_, body) | Qm(_, body):
+            return body
+    raise ValueError(f"formula has no part {k}: {f!r}")
+
+
+def _reference_resolve(seq, src):
+    match src[0]:
+        case "focus":
+            return seq.focus
+        case "fpart":
+            return _reference_part(seq.focus, src[1])
+        case "part":
+            return _reference_part(seq.context[src[1]], src[2])
+    return seq.context[src[1]]  # "keep" and "copy"
+
+
+def _reference_premises(seq, node):
+    """The reference definition: one source per premise position, resolved
+    one position at a time, for a node both checkers accept."""
+    n, p, rule = len(seq.context), node.principal, node.rule
+    keeps = lambda it: [("keep", i) for i in it]
+    around = lambda *new: keeps(range(p)) + list(new) + keeps(range(p + 1, n))
+    match rule:
+        case "par":
+            plans = [(around(("part", p, 0), ("part", p, 1)), None)]
+        case "bot" | "weak":
+            plans = [(around(), None)]
+        case "with":
+            plans = [(around(("part", p, 0)), None), (around(("part", p, 1)), None)]
+        case "plus1" | "plus2" | "qm" | "bang":
+            plans = [(around(("part", p, int(rule == "plus2"))), None)]
+        case "contr":
+            plans = [(keeps(range(p + 1)) + [("copy", p)] + keeps(range(p + 1, n)), None)]
+        case "tensor":
+            left = sorted(set(node.split) | {p})
+            right = sorted((set(range(n)) - {p} - set(node.split)) | {p})
+            side = lambda poss, k: [("part", p, k) if i == p else ("keep", i) for i in poss]
+            plans = [(side(left, 0), None), (side(right, 1), None)]
+        case "decide":
+            plans = [(around(), ("keep", p))]
+        case "ldecide":
+            plans = [(around(), ("part", p, 0))]
+        case "udecide":
+            plans = [(keeps(range(n)), ("part", p, 0))]
+        case "blur":
+            plans = [(keeps(range(n)) + [("focus",)], None)]
+        case "fplus1" | "fplus2":
+            plans = [(keeps(range(n)), ("fpart", int(rule == "fplus2")))]
+        case "ftensor":
+            kept, split = set(node.kept), set(node.split)
+            rest = set(range(n)) - kept - split
+            plans = [(keeps(sorted(kept | split)), ("fpart", 0)), (keeps(sorted(kept | rest)), ("fpart", 1))]
+        case "fbang":
+            plans = [(keeps(sorted(node.kept)) + [("fpart", 0)], None)]
+        case _:
+            plans = []
+    return [
+        (tuple(_reference_resolve(seq, src) for src in ctx_plan),
+         None if focus_src is None else _reference_resolve(seq, focus_src))
+        for ctx_plan, focus_src in plans
+    ]
+
+
+def _candidate_nodes(rng, sig, seq, focused):
+    """Every rule at every position, with random and maximal position lists."""
+    ctx, n = seq.context, len(seq.context)
+    subset = lambda pool: tuple(sorted(i for i in pool if rng.random() < 0.5))
+    unbounded = [i for i, g in enumerate(ctx) if isinstance(g, Qm) and is_unbounded(sig, g.label)]
+    if not focused:
+        for p in range(n):
+            for rule in ("par", "bot", "with", "plus1", "plus2", "qm", "bang", "weak", "contr", "top"):
+                yield UProof(rule, principal=p)
+            yield UProof(TENSOR, principal=p, split=subset(i for i in range(n) if i != p))
+        yield UProof(INIT, pair=(0, 1))
+        yield UProof("one")
+        return
+    for p in range(n):
+        for rule in (DECIDE, LDECIDE, UDECIDE, FINIT, "par", "bot", "with", "top"):
+            yield FProof(rule, principal=p)
+    for rule in (BLUR, FONE, FPLUS1, FPLUS2):
+        yield FProof(rule)
+    kept = subset(unbounded)
+    yield FProof(FTENSOR, kept=kept, split=subset(i for i in range(n) if i not in kept))
+    yield FProof(FTENSOR, kept=tuple(unbounded), split=())
+    above = tuple(
+        i for i, g in enumerate(ctx)
+        if isinstance(seq.focus, Bang) and isinstance(g, Qm) and leq(sig, seq.focus.label, g.label)
+    )
+    for kept in (subset(range(n)), subset(above), above):
+        yield FProof(FBANG, kept=kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_plan_kernel_agrees_with_per_position_premises(seed):
+    rng = random.Random(seed)
+    sig = random_signature(rng)
+    ctx = sum((random_context(rng, sig) for _ in range(rng.randint(1, 3))), ())
+    focus = random_formula(rng, sig, budget=3)
+    promoted = Bang(rng.choice(sorted(sig.labels)), focus)
+    exponentials = tuple(g for g in ctx if isinstance(g, Qm))
+    compared = 0
+    for focused, seq in (
+        (False, FSequent(ctx)),
+        (True, FSequent(ctx)),
+        (True, FSequent(ctx, focus)),
+        (True, FSequent(exponentials, promoted)),
+    ):
+        plans_of = fpremise_plans if focused else premise_plans
+        for node in _candidate_nodes(rng, sig, seq, focused):
+            try:
+                plans = plans_of(sig, seq, node)
+            except CheckError:
+                continue
+            got = [materialize(plan, seq) for plan in plans]
+            want = _reference_premises(seq, node)
+            assert len(got) == len(want), node
+            for g, (context, focus_formula) in zip(got, want):
+                assert len(g.context) == len(context) and all(map(operator.is_, g.context, context)), node
+                assert g.focus is focus_formula, node
+            compared += 1
+    assert compared > 0
 
 
 def test_decide_then_init(sig):
@@ -109,7 +253,7 @@ def test_decide_flavors(sig):
 def test_ldecide_consumes_its_formula(sig):
     goal = fgoal("|- ?u ~x, x")
     node = FProof(LDECIDE, principal=0)
-    (prem,) = fpremises_of(sig, goal, node)
+    (prem,) = (materialize(plan, goal) for plan in fpremise_plans(sig, goal, node))
     assert prem == FSequent((parse_formula("x"),), parse_formula("~x"))
     proof = FProof(
         LDECIDE,
@@ -124,7 +268,7 @@ def test_ldecide_consumes_its_formula(sig):
 def test_udecide_keeps_its_formula(sig):
     goal = fgoal("|- ?inf ~x, x")
     node = FProof(UDECIDE, principal=0)
-    (prem,) = fpremises_of(sig, goal, node)
+    (prem,) = (materialize(plan, goal) for plan in fpremise_plans(sig, goal, node))
     assert prem.context == goal.context
     assert prem.focus == parse_formula("~x")
     proof = FProof(
@@ -156,7 +300,7 @@ def test_ftensor_splits_and_copies(sig):
     goal = fgoal("|- ~x, ~y, ?inf z")
     node = FProof(FTENSOR, kept=(2,), split=(0,))
     focused = FSequent(goal.context, parse_formula("(x * y)"))
-    left, right = fpremises_of(sig, focused, node)
+    left, right = (materialize(plan, focused) for plan in fpremise_plans(sig, focused, node))
     assert left == FSequent(parse_sequent("|- ~x, ?inf z").context, parse_formula("x"))
     assert right == FSequent(parse_sequent("|- ~y, ?inf z").context, parse_formula("y"))
 

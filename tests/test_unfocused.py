@@ -20,8 +20,9 @@ from selogic.unfocused import (
     WEAK,
     check_unfocused,
     count_rule,
+    materialize,
     permute_proof,
-    premises_of,
+    premise_plans,
     proof_size,
     search_unfocused,
 )
@@ -58,7 +59,8 @@ def test_init_rejections(sig):
 def test_tensor_split_routes_the_context(sig):
     goal = parse_sequent("|- (x * y), ~x, ~y")
     node = UProof(TENSOR, principal=0, split=(1,))
-    prems = premises_of(sig, goal.context, node)
+    seq = FSequent(goal.context)
+    prems = tuple(materialize(plan, seq).context for plan in premise_plans(sig, seq, node))
     assert prems == (ctx("x", "~x"), ctx("y", "~y"))
     check_unfocused(sig, goal, UProof(TENSOR, principal=0, split=(1,), premises=(INIT_01, INIT_01)))
     # sending ~y left starves the right premise
@@ -148,7 +150,8 @@ def test_structural_rules_only_on_unbounded_labels(sig):
 def test_contraction_copy_lands_after_the_original(sig):
     goal = parse_sequent("|- ?inf ~x, (x * x)")
     node = UProof(CONTR, principal=0)
-    (prem,) = premises_of(sig, goal.context, node)
+    seq = FSequent(goal.context)
+    (prem,) = (materialize(plan, seq).context for plan in premise_plans(sig, seq, node))
     assert prem == ctx("?inf ~x", "?inf ~x", "(x * x)")
     proof = UProof(
         CONTR,
