@@ -31,8 +31,10 @@ Layout is not grammar; the reader accepts any whitespace and ``;``
 comments.  The printer puts a node on one line when the line fits in 96
 columns, counting its indent and the closing parentheses that follow it.
 Otherwise the node's rule, numbers and position lists stay on its line
-and each premise starts a new one, indented two columns deeper only under
-a two-premise node.  Neither that head line nor the run of closing
+and each premise starts a new one.  The last premise stays at the node's
+indent and an earlier one goes two columns deeper, so a proof's spine
+runs down one column however long it is, and the text grows linearly
+with the proof.  Neither that head line nor the run of closing
 parentheses after a long chain is wrapped, so long certificates can have
 wider lines.  Printing and reading both walk with explicit stacks: time
 is linear in the text, and depth is not bounded by the recursion limit.
@@ -325,9 +327,9 @@ def _layout(root, head) -> str:
     lists.  A node goes on one line when that line, with its indent and
     the closing parentheses its ancestors append to it, fits in
     ``_WIDTH`` columns.  Otherwise its head stays on the line and each
-    premise starts a new one.  Indentation deepens only where a node has
-    two premises; a sole premise stays at its parent's indent, so long
-    runs of single-premise rules do not march right.
+    premise starts a new one.  Only a premise that is not its parent's
+    last is indented deeper, so the spine of single premises and right
+    premises of a long proof does not march right.
     """
     # Breadth-first order: node i's premises are nodes first[i] onwards,
     # and every node comes after its ancestors.
@@ -371,10 +373,12 @@ def _layout(root, head) -> str:
         out.append("(" + heads[i])
         pending.append(")")
         arity = len(order[i].premises)
-        step = indent + 2 if arity > 1 else indent
-        newline = "\n" + " " * step
-        for k in range(arity - 1, -1, -1):
-            pending.append((first[i] + k, step, closers + 1 if k == arity - 1 else 1))
-            pending.append(newline)
+        if arity:
+            pending.append((first[i] + arity - 1, indent, closers + 1))
+            pending.append("\n" + " " * indent)
+        deeper = "\n" + " " * (indent + 2)
+        for k in range(arity - 2, -1, -1):
+            pending.append((first[i] + k, indent + 2, 1))
+            pending.append(deeper)
     out.append("\n")
     return "".join(out)

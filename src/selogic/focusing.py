@@ -26,7 +26,7 @@ structural steps explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_
+from operator import attrgetter, is_
 
 from .errors import Reason
 from .formulas import (
@@ -85,10 +85,6 @@ class FProof:
 #: The negative connectives other than negated atoms and ``?``: the ones the
 #: unfocused phase decomposes.  Every other formula type is neutral.
 ASYNC = frozenset({Par, Bot, With, Top})
-
-
-def is_neutral_formula(f: Formula) -> bool:
-    return type(f) not in ASYNC
 
 
 def is_neutral(ctx: Context) -> bool:
@@ -256,8 +252,9 @@ def count_decides(proof: FProof) -> int:
 #
 # The translation tracks where each formula of the current focused sequent
 # sits in the unfocused context being proved.  Every formula occurrence is
-# an :class:`~selogic.unfocused.Occurrence`: ``tags`` holds them in the
-# focused sequent's layout and ``slots`` in the unfocused context's order.
+# an :class:`~selogic.unfocused.Occurrence`, which carries its formula:
+# ``tags`` holds them in the focused sequent's layout and ``slots`` in the
+# unfocused context's order, so the unfocused context is read off ``slots``.
 # The focused node's plans move ``tags`` and the emitted unfocused rules'
 # plans move ``slots``, through the same materializer as the formulas, so
 # both name the same occurrences with no renumbering.  udecide is the one
@@ -267,14 +264,15 @@ def count_decides(proof: FProof) -> int:
 # One pass of the checking walk visits the focused nodes in pre-order with
 # their sequents and plans.  At each node :func:`_defocus` emits a chain of
 # unfocused rule heads, the last of which takes the translated premises,
-# and the (unfocused sequent, slots, tags) state of each premise; those
-# states sit on a stack that the walk pops in the same order.  The
-# unfocused tree is then assembled bottom-up in reverse pre-order, so
-# nothing recurses.
+# and the (slots, tags) state of each premise; those states sit on a stack
+# that the walk pops in the same order.  The unfocused tree is then
+# assembled bottom-up in reverse pre-order, so nothing recurses.
 
 #: The unfocused rule of a focused node that acts on one position, where
 #: the two differ; par, bot, with and top keep their names.
 _ONE_POSITION = {LDECIDE: uf.QM, FPLUS1: uf.PLUS1, FPLUS2: uf.PLUS2}
+
+_FORMULA = attrgetter("formula")
 
 
 def defocus(proof: FProof, sig: Signature, goal: FSequent) -> UProof:
@@ -286,12 +284,12 @@ def defocus(proof: FProof, sig: Signature, goal: FSequent) -> UProof:
     weakening chains.  The focused certificate is checked on the way;
     a rejected one raises :class:`CheckError`.
     """
-    tags = FSequent(tuple(Occurrence() for _ in goal.context))
-    u, slots = FSequent(goal.context), tags
+    tags = FSequent(tuple(map(Occurrence, goal.context)))
+    slots = tags
     if goal.focus is not None:
-        tags = FSequent(tags.context, Occurrence())
-        u, slots = FSequent(u.context + (goal.focus,)), FSequent(tags.context + (tags.focus,))
-    states = [(u, slots, tags)]
+        tags = FSequent(tags.context, Occurrence(goal.focus))
+        slots = FSequent(tags.context + (tags.focus,))
+    states = [(slots, tags)]
     order = []
     for node, fseq, plans, _ in checked_nodes(sig, goal, proof):
         chain, premise_states = _defocus(sig, node, fseq, plans, *states.pop())
@@ -305,11 +303,12 @@ def _defocus(
     node: FProof,
     fseq: FSequent,
     plans: list[Plan],
-    u: FSequent,
     slots: FSequent,
     tags: FSequent,
-) -> tuple[list[UProof], list[tuple[FSequent, FSequent, FSequent]]]:
-    """Translate one focused node: its unfocused heads and premise states.
+) -> tuple[list[tuple], list[tuple[FSequent, FSequent]]]:
+    """Translate one focused node: its unfocused heads, as the
+    :func:`~selogic.unfocused.assemble` chain of ``(rule, principal, pair,
+    split)`` tuples, and its premise states.
 
     An empty chain passes the single premise's translation through.
     """
@@ -317,32 +316,24 @@ def _defocus(
     if tags.focus is not None:
         formula_of[tags.focus] = fseq.focus
     assert len(formula_of) == len(slots.context) and all(
-        map(is_, u.context, map(formula_of.__getitem__, slots.context))
+        map(is_, map(_FORMULA, slots.context), map(formula_of.__getitem__, slots.context))
     )
 
     rule = node.rule
     premise_tags = [materialize(plan, tags) for plan in plans]
 
-    def emit(head: UProof, u: FSequent, slots: FSequent) -> list:
-        """``head``'s premises, each with its slots and the focused tags."""
-        return [
-            (materialize(plan, u), materialize(plan, slots), t)
-            for plan, t in zip(uf.premise_plans(sig, u, head), premise_tags)
-        ]
-
     match rule:
         case "decide" | "blur":
-            return [], [(u, slots, premise_tags[0])]
+            return [], [(slots, premise_tags[0])]
         case "udecide":
             # contraction then dereliction put the body right after the
             # formula; a fresh occurrence, since the formula stays to be
             # decided again
             i = node.principal
             p = slots.context.index(tags.context[i])
-            fresh = Occurrence()
-            plan = ((("run", 0, p + 1), ("focus",), ("run", p + 1, len(u.context))), NO_FOCUS)
-            return [UProof(uf.CONTR, principal=p), UProof(uf.QM, principal=p + 1)], [(
-                materialize(plan, FSequent(u.context, fseq.context[i].body)),
+            fresh = Occurrence(fseq.context[i].body)
+            plan = ((("run", 0, p + 1), ("focus",), ("run", p + 1, len(slots.context))), NO_FOCUS)
+            return [(uf.CONTR, p, None, None), (uf.QM, p + 1, None, None)], [(
                 materialize(plan, FSequent(slots.context, fresh)),
                 FSequent(tags.context, fresh),
             )]
@@ -355,35 +346,41 @@ def _defocus(
             # weaken away every other slot, highest position first
             kept = sorted(map(slots.context.index, keep))
             gone = sorted(set(range(len(slots.context))).difference(kept), reverse=True)
-            chain = [UProof(uf.WEAK, principal=p) for p in gone]
-            plan = ((("pick", tuple(kept)),), NO_FOCUS)
-            u, slots = materialize(plan, u), materialize(plan, slots)
+            chain = [(uf.WEAK, p, None, None) for p in gone]
+            slots = materialize(((("pick", tuple(kept)),), NO_FOCUS), slots)
             if rule == FONE:
-                return chain + [UProof(uf.ONE_RULE)], []
+                return chain + [(uf.ONE_RULE, None, None, None)], []
             if rule == FINIT:
-                return chain + [UProof(uf.INIT, pair=tuple(map(slots.context.index, keep)))], []
-            head = UProof(uf.BANG, principal=slots.context.index(tags.focus))
-            return chain + [head], emit(head, u, slots)
+                pair = tuple(map(slots.context.index, keep))
+                return chain + [(uf.INIT, None, pair, None)], []
+            head = (uf.BANG, slots.context.index(tags.focus), None, None)
+            return chain + [head], _emit(sig, head, slots, premise_tags)
         case "ftensor":
             # one explicit contraction per copied formula, highest position
             # first; each original stays left of its copy and goes left
             copied = sorted(slots.context.index(tags.context[i]) for i in node.kept)
-            segments, lo = [], 0
-            for p in copied:
-                segments += [("run", lo, p + 1), ("copy", p)]
-                lo = p + 1
-            segments.append(("run", lo, len(u.context)))
-            plan = (tuple(segments), NO_FOCUS)
-            u, slots = materialize(plan, u), materialize(plan, slots)
+            doubled = tuple(sorted((*range(len(slots.context)), *copied)))
+            slots = materialize(((("pick", doubled),), NO_FOCUS), slots)
             left = map(tags.context.__getitem__, (*node.kept, *node.split))
-            head = UProof(
-                uf.TENSOR,
-                principal=slots.context.index(tags.focus),
-                split=tuple(sorted(map(slots.context.index, left))),
-            )
-            contractions = [UProof(uf.CONTR, principal=p) for p in reversed(copied)]
-            return contractions + [head], emit(head, u, slots)
+            split = tuple(sorted(map(slots.context.index, left)))
+            head = (uf.TENSOR, slots.context.index(tags.focus), None, split)
+            contractions = [(uf.CONTR, p, None, None) for p in reversed(copied)]
+            return contractions + [head], _emit(sig, head, slots, premise_tags)
         case _:
             at = tags.focus if rule in (FPLUS1, FPLUS2) else tags.context[node.principal]
-            head = UProof(_ONE_POSITION.get(rule, rule), principal=slots.context.index(at))
-            return [head], emit(head, u, slots)
+            head = (_ONE_POSITION.get(rule, rule), slots.context.index(at), None, None)
+            return [head], _emit(sig, head, slots, premise_tags)
+
+
+def _emit(
+    sig: Signature, head: tuple, slots: FSequent, premise_tags: list[FSequent]
+) -> list[tuple[FSequent, FSequent]]:
+    """``head``'s premises, each with its slots and the focused tags.
+
+    ``head`` is validated on the formulas the slots stand for.
+    """
+    u = FSequent(tuple(map(_FORMULA, slots.context)))
+    return [
+        (materialize(plan, slots), t)
+        for plan, t in zip(uf.premise_plans(sig, u, UProof(*head)), premise_tags)
+    ]

@@ -165,13 +165,13 @@ def labels_of(f: Formula) -> frozenset[str]:
 
 def _shape(f: Formula) -> tuple[str | None, tuple[Formula, ...]]:
     """A node's own data (atom name or label) and its immediate subformulas."""
-    match f:
-        case Tensor(a, b) | Plus(a, b) | Par(a, b) | With(a, b):
-            return None, (a, b)
-        case Bang(label, body) | Qm(label, body):
-            return label, (body,)
-        case Atom(name) | NegAtom(name):
-            return name, ()
+    t = type(f)
+    if t is Tensor or t is Plus or t is Par or t is With:
+        return None, (f.left, f.right)
+    if t is Bang or t is Qm:
+        return f.label, (f.body,)
+    if t is Atom or t is NegAtom:
+        return f.name, ()
     return None, ()
 
 

@@ -41,8 +41,16 @@ is made terminating by a per-branch cap on decides, deepened iteratively
 from zero so the first proof found uses as few decides along any branch as
 possible.  A failure memo keyed on sequents as multisets makes the repeated
 rounds cheap; :func:`~selogic.formulas.intern_table` numbers the goal's
-formulas once per search, so its keys are small int tuples.  Everything is
-deterministic: the same call yields the same certificate.
+formulas once per search, so its keys are small int tuples.  A failure that
+met a budget cutoff holds at any budget no larger than the one it was found
+at.  A failure that met none holds at every budget, so later rounds never
+search it again.  That is sound because a rule fails only through a premise
+that fails, and a larger budget can add a left outcome of a lazy tensor
+split only where a strict premise was cut off.  ``SearchStats.round_nodes``
+shows what each round still searches.  The decide candidates of a context
+depend only on its formulas in order, so they are worked out once per
+ordered context.  Everything is deterministic: the same call yields the
+same certificate.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from .errors import CheckError
 from .focusing import (
@@ -68,7 +76,6 @@ from .focusing import (
     FSequent,
     fpremise_plans,
     is_neutral,
-    is_neutral_formula,
 )
 from .formulas import (
     Atom,
@@ -100,6 +107,7 @@ class SearchStats:
     splits: int = 0  # left tensor outcomes handed to a right premise
     memo_hits: int = 0
     filtered: int = 0  # decide candidates dropped because their focus cannot close
+    round_nodes: list[int] = field(default_factory=list)  # nodes of each deepening round
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,6 +132,10 @@ class Exhausted:
 SearchResult = Proved | Exhausted
 
 
+#: The rule of each connective the invertible phase takes apart.
+_INVERTIBLE = {Par: PAR, Bot: BOT_RULE, With: WITH, Top: TOP_RULE}
+
+
 class _NodeCap(Exception):
     pass
 
@@ -145,7 +157,11 @@ def prove_focused(
     try:
         for cap in range(max_decides + 1):
             stats.rounds += 1
-            proof, cutoff = searcher.search(goal, cap, 0)
+            start = stats.nodes
+            try:
+                proof, cutoff = searcher.search(goal, cap, 0)
+            finally:
+                stats.round_nodes.append(stats.nodes - start)
             if proof is not None:
                 return Proved(proof, stats)
             if not cutoff:
@@ -169,10 +185,13 @@ class _Searcher:
         self.max_nodes = max_nodes
         # formula object id -> class number, over the goal's sub-objects
         self.table = table
-        # formula object id -> its tensor skeleton's atoms, see _skeleton
-        self.skeletons: dict[int, tuple[tuple[str, int], ...]] = {}
+        # formula class -> its decide flavour and tensor skeleton, see _decide
+        self.decides: dict[int, tuple] = {}
+        # ordered context classes -> (decide candidates, how many were filtered)
+        self.candidates: dict[tuple[int, ...], tuple[list[FProof], int]] = {}
         # (context key, focus class or -1) -> (largest decide budget that
-        # failed, whether a budget cutoff occurred inside that failed search)
+        # failed, whether a budget cutoff occurred inside that failed
+        # search); a failure without a cutoff holds at every budget
         self.failed: dict | None = {} if use_memo else None
 
     def _key(self, fseq: FSequent) -> tuple[tuple[int, ...], int]:
@@ -188,7 +207,7 @@ class _Searcher:
         if self.failed is not None and (fseq.focus is not None or is_neutral(fseq.context)):
             key = self._key(fseq)
             hit = self.failed.get(key)
-            if hit is not None and budget <= hit[0]:
+            if hit is not None and (budget <= hit[0] or not hit[1]):
                 self.stats.memo_hits += 1
                 return None, hit[1]
 
@@ -199,7 +218,7 @@ class _Searcher:
 
         if proof is None and key is not None:
             hit = self.failed.get(key)
-            if hit is None or hit[0] < budget:
+            if hit is None or (hit[1] and hit[0] < budget):
                 self.failed[key] = (budget, cutoff)
         return proof, cutoff
 
@@ -216,23 +235,15 @@ class _Searcher:
             if sub is None:
                 return None, cutoff
             subs.append(sub)
-        return replace(head, premises=tuple(subs)), False
+        return FProof(head.rule, head.principal, head.split, head.kept, tuple(subs)), False
 
     def _unfocused(self, fseq: FSequent, budget: int, used: int) -> tuple[FProof | None, bool]:
         ctx = fseq.context
-        for i, f in enumerate(ctx):
-            if is_neutral_formula(f):
-                continue
-            match f:
-                case Top():
-                    return FProof(TOP_RULE, principal=i), False
-                case Par():
-                    return self._expand(fseq, FProof(PAR, principal=i), budget, used)
-                case Bot():
-                    return self._expand(fseq, FProof(BOT_RULE, principal=i), budget, used)
-                case With():
-                    return self._expand(fseq, FProof(WITH, principal=i), budget, used)
-            raise AssertionError(f"non-neutral formula unhandled: {f!r}")
+        if not is_neutral(ctx):
+            # the leftmost invertible rule; top has no premise and closes
+            i = next(i for i, f in enumerate(ctx) if type(f) in _INVERTIBLE)
+            head = FProof(_INVERTIBLE[type(ctx[i])], principal=i)
+            return self._expand(fseq, head, budget, used)
 
         # neutral: decide, spending one unit of budget
         cands = self._decide_candidates(ctx)
@@ -251,36 +262,53 @@ class _Searcher:
     def _decide_candidates(self, ctx: Context) -> list[FProof]:
         """Decides on a neutral context whose focus could still close:
         ldecides, then udecides, then decides, each left to right."""
+        order = tuple(map(self.table.__getitem__, map(id, ctx)))
+        cached = self.candidates.get(order)
+        if cached is None:
+            cached = self.candidates[order] = self._filter_decides(ctx, order)
+        cands, filtered = cached
+        self.stats.filtered += filtered
+        return cands
+
+    def _filter_decides(self, ctx: Context, order: tuple[int, ...]) -> tuple[list[FProof], int]:
+        filtered = 0
         negs = Counter(g.name for g in ctx if type(g) is NegAtom)
         flavours: dict[str, list[FProof]] = {LDECIDE: [], UDECIDE: [], DECIDE: []}
-        for i, f in enumerate(ctx):
-            if type(f) is Qm:
-                rule = UDECIDE if is_unbounded(self.sig, f.label) else LDECIDE
-                focus = f.body
-            elif type(f) is NegAtom or type(f) is Zero:
-                continue  # negated atoms are not decided; nothing acts on a focused zero
+        for i, c in enumerate(order):
+            decide = self.decides.get(c)
+            if decide is None:
+                decide = self.decides[c] = self._decide(ctx[i])
+            if not decide:
+                continue
+            rule, skeleton = decide
+            for name, k in skeleton:
+                if negs[name] < k:
+                    filtered += 1
+                    break
             else:
-                rule, focus = DECIDE, f
-            if all(negs[name] >= k for name, k in self._skeleton(focus)):
                 flavours[rule].append(FProof(rule, principal=i))
-            else:
-                self.stats.filtered += 1
-        return [*flavours[LDECIDE], *flavours[UDECIDE], *flavours[DECIDE]]
+        return [*flavours[LDECIDE], *flavours[UDECIDE], *flavours[DECIDE]], filtered
 
-    def _skeleton(self, f: Formula) -> tuple[tuple[str, int], ...]:
-        """The atoms reached from ``f`` through tensors only, with multiplicities."""
-        skeleton = self.skeletons.get(id(f))
-        if skeleton is None:
-            names: Counter[str] = Counter()
-            pending = [f]
-            while pending:
-                g = pending.pop()
-                if type(g) is Tensor:
-                    pending += (g.left, g.right)
-                elif type(g) is Atom:
-                    names[g.name] += 1
-            skeleton = self.skeletons[id(f)] = tuple(names.items())
-        return skeleton
+    def _decide(self, f: Formula) -> tuple:
+        """The decide flavour that focuses ``f`` and the atoms reached from
+        its focus through tensors only, with multiplicities; empty when
+        ``f`` is not decided."""
+        if type(f) is Qm:
+            rule = UDECIDE if is_unbounded(self.sig, f.label) else LDECIDE
+            focus = f.body
+        elif type(f) is NegAtom or type(f) is Zero:
+            return ()  # negated atoms are not decided; nothing acts on a focused zero
+        else:
+            rule, focus = DECIDE, f
+        names: Counter[str] = Counter()
+        pending = [focus]
+        while pending:
+            g = pending.pop()
+            if type(g) is Tensor:
+                pending += (g.left, g.right)
+            elif type(g) is Atom:
+                names[g.name] += 1
+        return rule, tuple(names.items())
 
     def _focused(self, fseq: FSequent, budget: int, used: int) -> tuple[FProof | None, bool]:
         ctx = fseq.context

@@ -135,23 +135,24 @@ def materialize(plan: Plan, seq: FSequent) -> FSequent:
 
 
 class Occurrence:
-    """A stand-in for one formula occurrence, so plans can move positions.
+    """A stand-in for one occurrence of ``formula``, so plans can move positions.
 
     Plans move occurrences as they move formulas.  Each part of an
-    occurrence is made once, so two plans that take the same occurrence
-    apart agree on its parts.  Occurrences compare by identity, which keeps
-    ``tuple.index`` over them at C speed.
+    occurrence is made once, over the formula's part, so two plans that
+    take the same occurrence apart agree on its parts.  Occurrences compare
+    by identity, which keeps ``tuple.index`` over them at C speed.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("formula", "parts")
 
-    def __init__(self):
+    def __init__(self, formula: Formula):
+        self.formula = formula
         self.parts: dict[int, Occurrence] = {}
 
     def part(self, k: int) -> "Occurrence":
         p = self.parts.get(k)
         if p is None:
-            p = self.parts[k] = Occurrence()
+            p = self.parts[k] = Occurrence(self.formula.part(k))
         return p
 
 
@@ -358,19 +359,21 @@ def proof_nodes(proof):
         pending.extend(reversed(node.premises))
 
 
-def assemble(order: list[tuple[list, int]]):
-    """Build a proof bottom-up from one ``(chain, arity)`` pair per node, in
-    pre-order: ``chain`` lists rule heads, each the single premise's parent
-    of the next, the last taking the node's ``arity`` premises; an empty
-    chain passes its one premise through.  In reverse pre-order every node
-    follows its descendants, its left premise's proof on top."""
+def assemble(order: list[tuple[list[tuple], int]]) -> UProof:
+    """Build an unfocused proof bottom-up from one ``(chain, arity)`` pair
+    per node, in pre-order: ``chain`` lists rule heads as ``(rule,
+    principal, pair, split)`` tuples, each the single premise's parent of
+    the next, the last taking the node's ``arity`` premises; an empty chain
+    passes its one premise through.  Each node is constructed once, with
+    its premises.  In reverse pre-order every node follows its descendants,
+    its left premise's proof on top."""
     built: list = []
     for chain, arity in reversed(order):
         subs = ()  # by concatenation: a generator costs one more object per node
         for _ in range(arity):
             subs += (built.pop(),)
         for head in reversed(chain):
-            subs = (replace(head, premises=subs) if subs else head,)
+            subs = (UProof(*head, subs),)
         built.append(subs[0])
     return built[0]
 
@@ -634,17 +637,16 @@ def permute_proof(sig: Signature, ctx: Context, proof: UProof, perm: tuple[int, 
         inv = [0] * len(perm)
         for new, old in enumerate(perm):
             inv[old] = new
-        head = replace(proof, premises=())
-        new_head = replace(
-            head,
-            principal=None if proof.principal is None else inv[proof.principal],
-            pair=None if proof.pair is None else (inv[proof.pair[0]], inv[proof.pair[1]]),
-            split=None if proof.split is None else tuple(sorted(inv[i] for i in proof.split)),
+        new_head = (
+            proof.rule,
+            None if proof.principal is None else inv[proof.principal],
+            None if proof.pair is None else (inv[proof.pair[0]], inv[proof.pair[1]]),
+            None if proof.split is None else tuple(sorted(inv[i] for i in proof.split)),
         )
         permuted = ((("pick", perm),), NO_FOCUS)
-        old_plans = premise_plans(sig, seq, head)
-        new_plans = premise_plans(sig, materialize(permuted, seq), new_head)
-        tags = FSequent(tuple(Occurrence() for _ in perm))
+        old_plans = premise_plans(sig, seq, proof)
+        new_plans = premise_plans(sig, materialize(permuted, seq), UProof(*new_head))
+        tags = FSequent(tuple(map(Occurrence, seq.context)))
         new_tags = materialize(permuted, tags)
         order.append(([new_head], len(proof.premises)))
         for k in range(len(proof.premises) - 1, -1, -1):

@@ -115,49 +115,92 @@ def _ladder_proofs(name: str, a: int):
     m, init = load_corpus(name)
     init = Configuration(init.state, a, 0)
     bundle = encode_halting(m, init)
-    fp = proof_from_trace(bundle, run(m, init, 200).trace)
+    fp = proof_from_trace(bundle, run(m, init, 10_000).trace)
     return fp, defocus(fp, bundle.signature, FSequent(bundle.goal))
 
 
-# sha256 of the printed focused and unfocused certificates as the earlier,
-# recursive printer laid them out: the layout must not move.
+# sha256 of the printed focused and unfocused certificates: the layout must
+# not move unnoticed.
 PRINTED_DIGESTS = {
     "halt_only": (
-        "15dacd0e8c7f269b28e796069b102f56b88ceef59325f639bb95c628bf448ad1",
-        "cf72f3ede691a8c9b15ae531535f576d523cbb447953a18886a21cbcbef8e0e0",
+        "fdc78efc4f5d2f0cb1eac0b375326e46e028c4079d0abc80f8efbd0333f292d7",
+        "6dffa706d523b86d9134afb7bfa9e935033ab41269cdc6f0e85635ce7fe33038",
     ),
     "incra_halt": (
-        "03bca4796d5ef984102ec014035fd7270365bdc1a320731b96c961f7aa4860c2",
-        "b2e39d81283430d40c8700ee4f4484fafdb61c73ad2cea003168c50d2f73b93a",
+        "e535658770242ed89620e40da838699d62af60e95d790cea8ca3d4ed316e5903",
+        "72847f524575555f60fee44b439112b28dac57785c74bf3c37662b77e631aa6c",
     ),
     "incrb_halt": (
-        "688720352ecac8e85d7810869dae13fe2af56c517cf6109dd64c68129eaf2afc",
-        "47b9a4421cdf217786a655fde754f3fb38e7fffa2e6334607bb81f690dfc8c28",
+        "6dea28086d3427a1fbbedec23dea3f9422af5db932845b5c1d2296f37da813e6",
+        "e886b703b7c2bc943d5e60eba4870d72fd41093512ad492de02ab42c8ec43502",
     ),
     "gated_zero": (
-        "a760ebe5a0caacf996162fa6b3a736f57a919cb07e215f5424838b80b4ac926d",
-        "8db82f7f7ee2edc7c223f16af0fdffc7b0e50f0315b5752530d9dacf3f247c5a",
+        "c2e39a37b5aac51589ffd027883a54019547e8009667ecc5e1f7be306a3dbfa0",
+        "ea0bf4bbdac65f5022e5bd156b4141f17795d1c611a52b974920af96ba5f0c47",
     ),
     "drain_a": (
-        "efa2ca45e08d102010c7e5d5ebab82c432628d12594b49b1ae4823d7654349a5",
-        "cf14ac3b3f82dba8b2b2ceb6052586ee7f2d28704e35673b1efbe9c52f358e20",
+        "1a43dec7ca96d728ae8abad7852333e32900088ec6a5b950b467881494ec5ae3",
+        "c10539d0ca843a2e5157723e81398a1aa719e5bad2ac3362aa893e2cff15e9d0",
     ),
     "drain_b": (
-        "efa2ca45e08d102010c7e5d5ebab82c432628d12594b49b1ae4823d7654349a5",
-        "cf14ac3b3f82dba8b2b2ceb6052586ee7f2d28704e35673b1efbe9c52f358e20",
+        "1a43dec7ca96d728ae8abad7852333e32900088ec6a5b950b467881494ec5ae3",
+        "c10539d0ca843a2e5157723e81398a1aa719e5bad2ac3362aa893e2cff15e9d0",
     ),
     "transfer_ab": (
-        "a70f8f376abe4a6fcb32fc0ba6e64f6250ce25663df726140655841586c6a7f5",
-        "edab646f8db679fb9311733a72f576b15c7878742ceea03219a4218a367e1ab3",
+        "29cc8d94bdb205a645b70bfc96fca0630053bebfd125733f39f3cb94b66a6794",
+        "54181f370a64576211874c6a4cabd9e6362252fa0f15a9a5e70464a5f6cdb71e",
     ),
     # longer runs, with lines far wider than 96 columns
     "drain_a@40": (
-        "342cce94da0c18968b94b4c538c7ce775793375cf8daba1dc976d4f253558b95",
-        "c79079bc8be31a49b854545652605ae30ade0f33c0e8b0f74aa85621bdf360c0",
+        "97ba3828cd5aa2150b0159540dd16b1ca619ac8f1b5d43ad2b8fc17ea99db5ee",
+        "b26a6a1528b21dcddd25231788a3be0c6e90a8339bc7812e8b9d214ff2d0b74e",
     ),
     "transfer_ab@30": (
-        "500dc9cffc6446077f10bd3bf035c51f72b638378328dd1947b5129cd8483515",
-        "7ca560d54fc690a3f9ad8198ed91f64c6afb5aa2ee2561ddcf41cbe2081fbd7e",
+        "f0ccd992e1b6a34680fbb918be50f161867fe1aed85fbb444e2426a7ae550528",
+        "6a67a65a12cc986055ff5217264a570f4ccd63a26bf869f1928507dc989ecba4",
+    ),
+}
+
+# sha256 of the same texts with every run of whitespace collapsed to one
+# space, as printed before the last premise kept its parent's indent: that
+# change moved whitespace and nothing else.
+COLLAPSED_DIGESTS = {
+    "halt_only": (
+        "1d3a24c59388ed2bac16cb9179158ad576e067f1e89ea0d6c8fa830cd081e4aa",
+        "9a67fbabd97d2cecb7c50a95cd7915f40c3ba33590898d154a25469f5b57b370",
+    ),
+    "incra_halt": (
+        "9f9a5a794f63fbe044cc544ed4a04ae01030dd6861c9c8722738d9b2a7ef82f6",
+        "f6f2022d1310660ed98147b653158c8151ee88f19a6bb971dcac55ab42a3867a",
+    ),
+    "incrb_halt": (
+        "a56090d4fd40a8c82bc91bd2463907179732e257f6c3170bb8960ce089422da4",
+        "53e510c78eabbf85d1abf0b7f3f18c246f226ee0ff09c95fdcdadd3dad51ce35",
+    ),
+    "gated_zero": (
+        "a1618331f94ff503f08bf110492b78627b05d75816f73abb226c86d340e42762",
+        "5b81fb27947d7bf610984d4ff76804be7778078d0bead977264dc4eef35bed82",
+    ),
+    "drain_a": (
+        "bd891ef4b12d0e2a5085531df14b139fa159aa4ffe7d237ae8dd240e68a4d943",
+        "e3c379fe4065cd055f9ce77ca5dd6ad626e436ed7eec1064b2da80013e8850a7",
+    ),
+    "drain_b": (
+        "bd891ef4b12d0e2a5085531df14b139fa159aa4ffe7d237ae8dd240e68a4d943",
+        "e3c379fe4065cd055f9ce77ca5dd6ad626e436ed7eec1064b2da80013e8850a7",
+    ),
+    "transfer_ab": (
+        "387242bc5e3033af3495fa2dc55c2e2daf885e7c39009a5d1a164a64d1740d31",
+        "b42a94359c43e0646458a24f198fb655f975a7c1030760e2c92a388f2bcbcce5",
+    ),
+    # longer runs
+    "drain_a@40": (
+        "b64638287e7cd36043630ea41c6156705a36a875b93592ca2ab26f406c51c34c",
+        "9a38325b67b252793fd9bcbc6457f3a78785c2120f4dec0bca6465128c451323",
+    ),
+    "transfer_ab@30": (
+        "afc15d5d88dbda94edd585cc15b10de2a42b9a30dec58a2ea5ba4f24b3b37fe3",
+        "1824c494e0599522bba00b70f5db5d94753e828e2ae97b2e5ae2c63770ff040d",
     ),
 }
 
@@ -169,8 +212,23 @@ def test_printed_text_matches_pinned_digests(name, corpus_proofs):
         fp, up = _ladder_proofs(family, int(a))
     else:
         _, fp, up = corpus_proofs[name]
+    texts = print_focused_proof(fp), print_unfocused_proof(up)
     digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
-    assert (digest(print_focused_proof(fp)), digest(print_unfocused_proof(up))) == PRINTED_DIGESTS[name]
+    assert tuple(map(digest, texts)) == PRINTED_DIGESTS[name]
+    assert tuple(digest(" ".join(text.split())) for text in texts) == COLLAPSED_DIGESTS[name]
+
+
+def test_printed_bytes_per_step_stay_flat_as_runs_grow():
+    # The encoding's spine continues through the right premise of every
+    # ftensor; indenting it deeper at each one made the text quadratic
+    # (924 focused bytes per step at 302 steps, 12 165 at 1 202).
+    per_step = {}
+    for a in (300, 1200):
+        fp, up = _ladder_proofs("drain_a", a)
+        steps = a + 2  # drain_a started at a halts after a + 2 steps
+        per_step[a] = [len(print_focused_proof(fp)) / steps, len(print_unfocused_proof(up)) / steps]
+    for short, long in zip(per_step[300], per_step[1200]):
+        assert long <= 1.2 * short
 
 
 @pytest.mark.parametrize("name", HALTING)

@@ -23,7 +23,6 @@ from selogic.focusing import (
     defocus,
     fpremise_plans,
     is_neutral,
-    is_neutral_formula,
 )
 from selogic.formulas import Bang, NegAtom, Par, Plus, Polarity, Qm, Sequent, Tensor, With, polarity
 from selogic.generators import random_context, random_formula, random_signature
@@ -77,7 +76,6 @@ def test_neutrality_by_type_agrees_with_polarity(seed):
         parts += [getattr(f, k) for k in ("left", "right", "body") if hasattr(f, k)]
     assert is_neutral(ctx) == all(map(_neutral_by_polarity, ctx))
     for f in parts:
-        assert is_neutral_formula(f) == _neutral_by_polarity(f)
         assert is_neutral((f,)) == _neutral_by_polarity(f)
 
 

@@ -201,6 +201,32 @@ def test_duplicated_entries_prove_alike_with_and_without_memo(seed):
         check_focused(s, goal, with_memo.proof)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_memo_keeps_the_answer_and_never_adds_rounds(seed):
+    # Failures that met no budget cutoff hold at every budget, so later
+    # rounds reuse them.  Exact round parity with the memo-free search does
+    # not hold, whether or not complete failures are kept: the memo can end
+    # an exhausted search a round earlier (8 of 1 464 draws at 4 decides).
+    # It never ends one later, and never changes the verdict or the proof.
+    rng = random.Random(seed)
+    s = random_signature(rng)
+    ctx = list(random_context(rng, s))
+    for _ in range(rng.randint(1, 3)):
+        ctx.insert(rng.randint(0, len(ctx)), rng.choice(ctx))
+    goal = FSequent(tuple(ctx))
+    with_memo = prove_focused(s, goal, max_decides=6, max_nodes=20_000)
+    without = prove_focused(s, goal, max_decides=6, max_nodes=20_000, use_memo=False)
+    if isinstance(without, Exhausted) and without.hit_node_cap:
+        return  # the memo-free search ran out of nodes first; nothing to compare
+    assert type(with_memo) is type(without)
+    assert with_memo.stats.rounds <= without.stats.rounds
+    if isinstance(with_memo, Proved):
+        assert print_focused_proof(with_memo.proof) == print_focused_proof(without.proof)
+    else:
+        assert with_memo.complete or not without.complete
+
+
 def test_equal_formulas_as_distinct_objects_prove_alike():
     m, init = load_corpus("drain_a")
     bundle = encode_halting(m, dataclasses.replace(init, a=2))
@@ -217,13 +243,16 @@ def test_equal_formulas_as_distinct_objects_prove_alike():
 
 def test_drain_a_at_three_stays_under_its_node_count():
     # splitting by multiplicity cut this from 13 788 nodes to 10 257, lazy
-    # tensor splitting to 2 412, and relevance-filtered decides to 751
+    # tensor splitting to 2 412, relevance-filtered decides to 751, and
+    # keeping complete failures across rounds to 494
     m, init = load_corpus("drain_a")
     assert init.a == 3
     bundle = encode_halting(m, init)
     out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=8)
     assert isinstance(out, Proved)
-    assert out.stats.nodes <= 751
+    assert out.stats.nodes <= 494
+    assert out.stats.round_nodes == [1, 16, 36, 79, 122, 115, 69, 56]
+    assert sum(out.stats.round_nodes) == out.stats.nodes
     again = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=8)
     assert again.stats.filtered == out.stats.filtered > 0
 
@@ -236,7 +265,7 @@ def test_drain_a_at_twenty_is_proved_within_the_default_node_cap():
     assert isinstance(out, Proved)
     check_focused(bundle.signature, goal, out.proof)
     assert out.stats.rounds == 25
-    assert out.stats.nodes <= 108_684
+    assert out.stats.nodes <= 82_111
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,9 +297,9 @@ NESTED_CASES = [
         """\
 (ftensor (kept 0 2) (left 4)
   (finit 2)
-  (ftensor (kept 0 2) (left 1)
-    (finit 1)
-    (fbang (kept 0 1 2) (ldecide 2 (blur (decide 2 (finit 2)))))))
+(ftensor (kept 0 2) (left 1)
+  (finit 1)
+(fbang (kept 0 1 2) (ldecide 2 (blur (decide 2 (finit 2)))))))
 """,
     ),
     (
@@ -280,10 +309,10 @@ NESTED_CASES = [
 (ftensor (kept 0 3) (left 2 4 5)
   (ftensor (kept 0 2) (left 4)
     (finit 2)
-    (ftensor (kept 0 2) (left 1)
-      (finit 1)
-      (fbang (kept 0 1 2) (ldecide 2 (blur (decide 2 (finit 2)))))))
-  (finit 1))
+  (ftensor (kept 0 2) (left 1)
+    (finit 1)
+  (fbang (kept 0 1 2) (ldecide 2 (blur (decide 2 (finit 2)))))))
+(finit 1))
 """,
     ),
 ]
