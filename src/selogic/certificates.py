@@ -36,246 +36,221 @@ indent and an earlier one goes two columns deeper, so a proof's spine
 runs down one column however long it is, and the text grows linearly
 with the proof.  Neither that head line nor the run of closing
 parentheses after a long chain is wrapped, so long certificates can have
-wider lines.  Printing and reading both walk with explicit stacks: time
-is linear in the text, and depth is not bounded by the recursion limit.
+wider lines.
+
+The reader makes one pass over the tokens: a list becomes its proof node
+as it closes, by one constructor call from a table of each rule's
+arguments.  Only a rejected text is read again, with lines and columns,
+to name its first error: a bad character, else a fault of the
+parentheses, else the first malformed node in pre-order.  Printing and
+reading walk with explicit stacks: time is linear in the text, and depth
+is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import zip_longest
 
 from .errors import ParseError
-from .focusing import FBANG, FINIT, FONE, FTENSOR, FProof
+from .focusing import FProof
 from . import unfocused as uf
 from .unfocused import UProof
 
 
-class _SList:
-    __slots__ = ("items", "line", "col")
-
-    def __init__(self, items, line, col):
-        self.items = items
-        self.line = line
-        self.col = col
-
-
-# One token per match, after any whitespace and ``;`` comments: a
-# parenthesis, a word (``\w`` is ``str.isalnum`` or ``_``), any other
-# character, which is an error, or the end of the text.  The end is a
-# match of its own, so a comment at the end is never backtracked into.
-_TOKEN = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*(?:([()])|(\w+)|(.)|\Z)", re.S)
+# One token per match: a parenthesis, a word (``\w`` is ``str.isalnum`` or
+# ``_``), a ``;`` comment, or any other character but whitespace, which is
+# an error.
+_TOKEN = re.compile(r"[()]|\w+|;[^\n]*|[^ \t\r\n]")
 
 
 def _lex(text: str, filename: str | None):
+    """The tokens with their lines and columns; raises at the first bad character."""
     out = []
     line, line_start, pos = 1, 0, 0
     for m in _TOKEN.finditer(text):
-        if m.lastindex is None:
-            break
-        paren, word, bad = m.groups()
-        start = m.start(m.lastindex)
+        tok, start = m.group(), m.start()
+        c = tok[0]
+        if c == ";":
+            continue
         newlines = text.count("\n", pos, start)
         if newlines:
             line += newlines
             line_start = text.rindex("\n", pos, start) + 1
         pos = start
         col = start - line_start + 1
-        if paren:
-            out.append((paren, paren, line, col))
-        elif word and (word[0].isdigit() or word[0].islower() or word[0] == "_"):
-            if word.isascii() and word.isdigit():
-                out.append(("num", int(word), line, col))
+        if c == "(" or c == ")":
+            out.append((c, c, line, col))
+        elif c == "_" or c.isdigit() or (c.islower() and c.isalnum()):
+            if tok.isascii() and tok.isdigit():
+                out.append(("num", int(tok), line, col))
             else:
-                out.append(("sym", word, line, col))
+                out.append(("sym", tok, line, col))
         else:
-            ch = bad or word[0]
-            raise ParseError(f"unexpected character {ch!r}", line, col, filename)
+            raise ParseError(f"unexpected character {c!r}", line, col, filename)
     return out
 
 
-def _read_sexpr(text: str, filename: str | None):
+def _read(text: str, filename: str | None, calculus: tuple):
+    """Read one certificate of ``calculus`` in one pass over the tokens.
+
+    A list becomes its proof node as it closes, after its premises: when
+    its rule, argument types and position lists fit the rule table, one
+    positional constructor call builds it.  Any other list, and any other
+    word or character, stays as it is, so its parent does not fit either.
+    A text that does not come out as one proof node goes to :func:`_error`.
+    """
+    _, proof_class, rules = calculus
+    items: list = []
+    opened: list[list] = []  # the enclosing lists, innermost last
+    for tok in _TOKEN.findall(text):
+        if tok == "(":
+            opened.append(items)
+            items = []
+        elif tok == ")":
+            if not opened:
+                break
+            node, items = items, opened.pop()
+            rule = rules.get(node[0]) if node and type(node[0]) is str else None
+            if rule is not None and rule[0] == [*map(type, node)]:
+                node = rule[1](*node) or node  # None: a bad position list
+            items.append(node)
+        elif tok[0] != ";":
+            items.append(int(tok) if tok.isdigit() and tok.isascii() else tok)
+    else:
+        if not opened and len(items) == 1 and type(items[0]) is proof_class:
+            return items[0]
+    _error(text, filename, calculus)
+
+
+def _error(text: str, filename: str | None, calculus: tuple):
+    """Raise the error of a text that is not a certificate of ``calculus``.
+
+    The first bad character wins, then the first fault of the parentheses
+    in reading order, then the first malformed node in pre-order, left
+    premise first.  Only here are lines and columns worked out.
+    """
     toks = _lex(text, filename)
     if not toks:
         raise ParseError("empty certificate", 1, 1, filename)
-    # the lists opened and not yet closed, innermost last
-    open_lists: list[_SList] = []
+    opened: list[list] = []  # each list is [(line, col), item, ...]
     for i, (kind, val, line, col) in enumerate(toks):
         if kind == "(":
-            open_lists.append(_SList([], line, col))
+            opened.append([(line, col)])
             continue
         if kind == ")":
-            if not open_lists:
+            if not opened:
                 raise ParseError("unmatched closing parenthesis", line, col, filename)
-            node = open_lists.pop()
+            val = opened.pop()
+        if opened:
+            opened[-1].append(val)
+        elif i + 1 < len(toks):
+            raise ParseError("trailing input after the certificate", *toks[i + 1][2:], filename)
         else:
-            node = val
-        if open_lists:
-            open_lists[-1].items.append(node)
-            continue
-        if i + 1 < len(toks):
-            _, _, line, col = toks[i + 1]
-            raise ParseError("trailing input after the certificate", line, col, filename)
-        return node
-    inner = open_lists[-1]
-    raise ParseError("unclosed parenthesis", inner.line, inner.col, filename)
-
-
-class _Shape:
-    """Pulls typed arguments out of one s-expression node."""
-
-    def __init__(self, node, filename):
-        if not isinstance(node, _SList) or not node.items or not isinstance(node.items[0], str):
-            line = getattr(node, "line", 1)
-            col = getattr(node, "col", 1)
-            raise ParseError("expected a (rule ...) form", line, col, filename)
-        self.node = node
-        self.filename = filename
-        self.tag = node.items[0]
-        self.rest = node.items[1:]
-        self.at = 0
-
-    def fail(self, message: str):
-        raise ParseError(f"{self.tag}: {message}", self.node.line, self.node.col, self.filename)
-
-    def _next(self):
-        if self.at >= len(self.rest):
-            self.fail("too few arguments")
-        x = self.rest[self.at]
-        self.at += 1
-        return x
-
-    def num(self) -> int:
-        x = self._next()
-        if not isinstance(x, int):
-            self.fail("expected a position number")
-        return x
-
-    def numlist(self, marker: str) -> tuple[int, ...]:
-        x = self._next()
-        if (
-            not isinstance(x, _SList)
-            or not x.items
-            or x.items[0] != marker
-            or not all(isinstance(y, int) for y in x.items[1:])
-        ):
-            self.fail(f"expected ({marker} ...) with position numbers")
-        return tuple(x.items[1:])
-
-    def sub(self):
-        return self._next()
-
-    def done(self):
-        if self.at != len(self.rest):
-            self.fail("too many arguments")
-
-
-def _build(root, filename, shape, make):
-    """Turn an s-expression tree into a proof tree without recursing.
-
-    ``shape`` reads one node's own arguments and returns the proof fields
-    and the premise s-expressions; it raises :class:`ParseError` as soon as
-    a node is malformed.  Nodes are read in pre-order, left premise first,
-    so the error reported is the one a left-to-right reading meets first.
-    """
-    order = []
-    pending = [root]
+            break
+    else:
+        raise ParseError("unclosed parenthesis", *opened[-1][0], filename)
+    name, _, rules = calculus
+    pending = [val]
     while pending:
         node = pending.pop()
-        fields, subs = shape(_Shape(node, filename))
-        order.append((fields, len(subs)))
-        pending.extend(reversed(subs))
-    # In reverse pre-order every node comes after all of its descendants,
-    # and its left premise's value lands on top of its right one's.
-    built = []
-    for fields, arity in reversed(order):
-        if arity:
-            fields["premises"] = tuple(reversed(built[-arity:]))
-            del built[-arity:]
-        built.append(make(**fields))
-    return built[0]
+        if type(node) is not list or len(node) < 2 or type(node[1]) is not str:
+            where = node[0] if type(node) is list else (1, 1)
+            raise ParseError("expected a (rule ...) form", *where, filename)
+        tag, args = node[1], node[2:]
+        kinds = rules[tag][2] if tag in rules else None
+        fault = f"not {name} rule" if kinds is None else _fault(kinds, args)
+        if fault:
+            raise ParseError(f"{tag}: {fault}", *node[0], filename)
+        pending.extend(reversed([x for kind, x in zip(kinds, args) if kind == "s"]))
+    raise AssertionError("a text the reader refused has no error")
+
+
+_MARKERS = {"k": "kept", "l": "left"}
+
+
+def _fault(kinds: str, args: list) -> str | None:
+    """What is wrong with a node's arguments, read left to right."""
+    for kind, x in zip_longest(kinds, args):
+        if kind is None:
+            return "too many arguments"
+        if x is None:
+            return "too few arguments"
+        if kind == "n" and type(x) is not int:
+            return "expected a position number"
+        marker = _MARKERS.get(kind)
+        # a list read by _error holds its position first
+        if marker and _numbers(x[1:] if type(x) is list else x, marker) is None:
+            return f"expected ({marker} ...) with position numbers"
+    return None
+
+
+def _numbers(x, marker: str) -> tuple[int, ...] | None:
+    """The numbers of the list ``(marker I...)``, or None for anything else."""
+    if type(x) is list and x[:1] == [marker] and all(type(i) is int for i in x[1:]):
+        return tuple(x[1:])
+    return None
+
+
+def _tensor(t, p, left, a, b):
+    left = _numbers(left, "left")
+    return None if left is None else UProof(t, p, None, left, (a, b))
+
+
+def _ftensor(t, kept, left, a, b):
+    kept, left = _numbers(kept, "kept"), _numbers(left, "left")
+    return None if kept is None or left is None else FProof(t, None, left, kept, (a, b))
+
+
+def _fbang(t, kept, a):
+    kept = _numbers(kept, "kept")
+    return None if kept is None else FProof(t, None, None, kept, (a,))
+
+
+def _calculus(name: str, proof_class: type, rules: dict) -> tuple:
+    """A rule table: each tag's arguments, as a string with ``n`` for a
+    position number, ``k`` and ``l`` for ``(kept ...)`` and ``(left ...)``
+    lists and ``s`` for a premise, and the constructor call that builds
+    the node from its list."""
+    types = {"n": int, "k": list, "l": list, "s": proof_class}
+    return name, proof_class, {
+        tag: ([str, *map(types.get, kinds)], make, kinds) for tag, (kinds, make) in rules.items()
+    }
+
+
+_UNFOCUSED = _calculus("an unfocused", UProof, {
+    "init": ("nn", lambda t, i, j: UProof(t, None, (i, j))),
+    "one": ("", UProof),
+    "top": ("n", UProof),
+    "tensor": ("nlss", _tensor),
+    "with": ("nss", lambda t, p, a, b: UProof(t, p, None, None, (a, b))),
+    **dict.fromkeys(
+        ("plus1", "plus2", "par", "bot", "qm", "bang", "weak", "contr"),
+        ("ns", lambda t, p, a: UProof(t, p, None, None, (a,))),
+    ),
+})
+
+_FOCUSED = _calculus("a focused", FProof, {
+    "finit": ("n", FProof),
+    "f1": ("", FProof),
+    "top": ("n", FProof),
+    "ftensor": ("klss", _ftensor),
+    "with": ("nss", lambda t, p, a, b: FProof(t, p, None, None, (a, b))),
+    "fbang": ("ks", _fbang),
+    **dict.fromkeys(("fplus1", "fplus2", "blur"), ("s", lambda t, a: FProof(t, None, None, None, (a,)))),
+    **dict.fromkeys(
+        ("decide", "ldecide", "udecide", "par", "bot"),
+        ("ns", lambda t, p, a: FProof(t, p, None, None, (a,))),
+    ),
+})
 
 
 def parse_unfocused_proof(text: str, filename: str | None = None) -> UProof:
-    return _build(_read_sexpr(text, filename), filename, _u_shape, UProof)
-
-
-def _u_shape(s: _Shape) -> tuple[dict, list]:
-    match s.tag:
-        case "init":
-            i, j = s.num(), s.num()
-            s.done()
-            return {"rule": uf.INIT, "pair": (i, j)}, []
-        case "one":
-            s.done()
-            return {"rule": uf.ONE_RULE}, []
-        case "top":
-            p = s.num()
-            s.done()
-            return {"rule": uf.TOP_RULE, "principal": p}, []
-        case "tensor":
-            p = s.num()
-            left = s.numlist("left")
-            l, r = s.sub(), s.sub()
-            s.done()
-            return {"rule": uf.TENSOR, "principal": p, "split": left}, [l, r]
-        case "with":
-            p = s.num()
-            l, r = s.sub(), s.sub()
-            s.done()
-            return {"rule": uf.WITH, "principal": p}, [l, r]
-        case "plus1" | "plus2" | "par" | "bot" | "qm" | "bang" | "weak" | "contr":
-            p = s.num()
-            sub = s.sub()
-            s.done()
-            return {"rule": s.tag, "principal": p}, [sub]
-        case _:
-            s.fail("not an unfocused rule")
+    return _read(text, filename, _UNFOCUSED)
 
 
 def parse_focused_proof(text: str, filename: str | None = None) -> FProof:
-    return _build(_read_sexpr(text, filename), filename, _f_shape, FProof)
-
-
-def _f_shape(s: _Shape) -> tuple[dict, list]:
-    match s.tag:
-        case "finit":
-            p = s.num()
-            s.done()
-            return {"rule": FINIT, "principal": p}, []
-        case "f1":
-            s.done()
-            return {"rule": FONE}, []
-        case "top":
-            p = s.num()
-            s.done()
-            return {"rule": uf.TOP_RULE, "principal": p}, []
-        case "ftensor":
-            kept = s.numlist("kept")
-            left = s.numlist("left")
-            l, r = s.sub(), s.sub()
-            s.done()
-            return {"rule": FTENSOR, "kept": kept, "split": left}, [l, r]
-        case "with":
-            p = s.num()
-            l, r = s.sub(), s.sub()
-            s.done()
-            return {"rule": uf.WITH, "principal": p}, [l, r]
-        case "fbang":
-            kept = s.numlist("kept")
-            sub = s.sub()
-            s.done()
-            return {"rule": FBANG, "kept": kept}, [sub]
-        case "fplus1" | "fplus2" | "blur":
-            sub = s.sub()
-            s.done()
-            return {"rule": s.tag}, [sub]
-        case "decide" | "ldecide" | "udecide" | "par" | "bot":
-            p = s.num()
-            sub = s.sub()
-            s.done()
-            return {"rule": s.tag, "principal": p}, [sub]
-        case _:
-            s.fail("not a focused rule")
+    return _read(text, filename, _FOCUSED)
 
 
 # --- printing ---------------------------------------------------------------

@@ -26,6 +26,7 @@ structural steps explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from operator import attrgetter, is_
 
 from .errors import Reason
@@ -49,7 +50,9 @@ from .formulas import (
 )
 from .signatures import Signature, is_unbounded, leq
 from . import unfocused as uf
-from .unfocused import NO_FOCUS, Occurrence, Plan, UProof, _fail, materialize, validate_labels
+from .unfocused import (
+    NO_FOCUS, Occurrence, Plan, UProof, _fail, _in_range, _principal, materialize, validate_labels,
+)
 
 DECIDE = "decide"
 LDECIDE = "ldecide"
@@ -92,6 +95,28 @@ def is_neutral(ctx: Context) -> bool:
     return ASYNC.isdisjoint(map(type, ctx))
 
 
+def _require_no_focus(focus: Formula | None, rule: str) -> None:
+    if focus is not None:
+        _fail(Reason.CONTEXT_MISMATCH, f"{rule} applies only without a focus")
+
+
+def _require_focus(focus: Formula | None, rule: str) -> Formula:
+    if focus is None:
+        _fail(Reason.CONTEXT_MISMATCH, f"{rule} decomposes the focus, but nothing is focused")
+    return focus
+
+
+def _bystanders_unbounded(sig: Signature, ctx: Context, indices, context_of: str) -> None:
+    for i in indices:
+        g = ctx[i]
+        if not (isinstance(g, Qm) and is_unbounded(sig, g.label)):
+            _fail(
+                Reason.LINGERING_LINEAR,
+                f"{context_of} would discard a formula that is not an "
+                "unbounded question-marked formula",
+            )
+
+
 def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[Plan]:
     """Validate one focused rule application; raises :class:`CheckError`.
 
@@ -103,41 +128,15 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[Plan]:
     focus = fseq.focus
     n = len(ctx)
     rule = node.rule
-
     p = node.principal
-
-    def principal() -> Formula:
-        if p is None or not 0 <= p < n:
-            _fail(Reason.CONTEXT_MISMATCH, f"position {p} out of range for context of {n}")
-        return ctx[p]
-
-    def require_no_focus():
-        if focus is not None:
-            _fail(Reason.CONTEXT_MISMATCH, f"{rule} applies only without a focus")
-
-    def require_focus() -> Formula:
-        if focus is None:
-            _fail(Reason.CONTEXT_MISMATCH, f"{rule} decomposes the focus, but nothing is focused")
-        return focus
-
-    def bystander_unbounded(indices, context_of: str):
-        for i in indices:
-            g = ctx[i]
-            if not (isinstance(g, Qm) and is_unbounded(sig, g.label)):
-                _fail(
-                    Reason.LINGERING_LINEAR,
-                    f"{context_of} would discard a formula that is not an "
-                    "unbounded question-marked formula",
-                )
-
     whole = (("run", 0, n),)
 
     match rule:
         case "decide" | "ldecide" | "udecide":
-            require_no_focus()
+            _require_no_focus(focus, rule)
             if not is_neutral(ctx):
                 _fail(Reason.NOT_NEUTRAL, "decide requires a neutral context")
-            f = principal()
+            f = _principal(ctx, p)
             if rule == "decide":
                 if polarity(f) is not Polarity.POSITIVE:
                     _fail(Reason.FOCUS_ON_NEGATIVE, "decide needs a positive formula")
@@ -155,32 +154,32 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[Plan]:
                 _fail(Reason.WRONG_DECIDE_FLAVOR, f"label {f.label!r} is bounded; use ldecide")
             return [(whole, (("part", p, 0),))]
         case "blur":
-            f = require_focus()
+            f = _require_focus(focus, rule)
             if polarity(f) is not Polarity.NEGATIVE:
                 _fail(Reason.BLUR_ON_POSITIVE, "blur releases only a negative focus")
             return [((*whole, ("focus",)), NO_FOCUS)]
         case "finit":
-            f = require_focus()
+            f = _require_focus(focus, rule)
             if not isinstance(f, Atom):
                 _fail(Reason.CONTEXT_MISMATCH, "finit needs an atom under focus")
-            g = principal()
+            g = _principal(ctx, p)
             if not (isinstance(g, NegAtom) and g.name == f.name):
                 _fail(Reason.CONTEXT_MISMATCH, "finit needs the focused atom's negation")
-            bystander_unbounded((i for i in range(n) if i != p), "finit")
+            _bystanders_unbounded(sig, ctx, (*range(p), *range(p + 1, n)), "finit")
             return []
         case "f1":
-            f = require_focus()
+            f = _require_focus(focus, rule)
             if not isinstance(f, One):
                 _fail(Reason.CONTEXT_MISMATCH, "f1 needs the unit under focus")
-            bystander_unbounded(range(n), "f1")
+            _bystanders_unbounded(sig, ctx, range(n), "f1")
             return []
         case "fplus1" | "fplus2":
-            f = require_focus()
+            f = _require_focus(focus, rule)
             if not isinstance(f, Plus):
                 _fail(Reason.CONTEXT_MISMATCH, "focus is not a plus")
             return [(whole, (("fpart", 0 if rule == "fplus1" else 1),))]
         case "ftensor":
-            f = require_focus()
+            f = _require_focus(focus, rule)
             if not isinstance(f, Tensor):
                 _fail(Reason.CONTEXT_MISMATCH, "focus is not a tensor")
             if node.kept is None or node.split is None:
@@ -188,7 +187,7 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[Plan]:
             kept, split = set(node.kept), set(node.split)
             if len(kept) != len(node.kept) or len(split) != len(node.split):
                 _fail(Reason.CONTEXT_MISMATCH, "ftensor position lists repeat a position")
-            if not all(0 <= i < n for i in kept | split):
+            if not _in_range(kept | split, n):
                 _fail(Reason.CONTEXT_MISMATCH, "ftensor positions out of range")
             if kept & split:
                 _fail(Reason.CONTEXT_MISMATCH, "a position cannot be both copied and sent left")
@@ -205,13 +204,13 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[Plan]:
                 (tuple(uf.runs(0, n, sorted(split))), (("fpart", 1),)),
             ]
         case "fbang":
-            f = require_focus()
+            f = _require_focus(focus, rule)
             if not isinstance(f, Bang):
                 _fail(Reason.CONTEXT_MISMATCH, "focus is not banged")
             if node.kept is None:
                 _fail(Reason.CONTEXT_MISMATCH, "fbang needs a kept position list")
             kept = set(node.kept)
-            if len(kept) != len(node.kept) or not all(0 <= i < n for i in kept):
+            if len(kept) != len(node.kept) or not _in_range(kept, n):
                 _fail(Reason.CONTEXT_MISMATCH, "fbang kept positions out of range")
             for i in kept:
                 g = ctx[i]
@@ -221,10 +220,10 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[Plan]:
                         f"promotion of !{f.label} can keep only question-marked formulas "
                         f"at labels above {f.label!r}",
                     )
-            bystander_unbounded((i for i in range(n) if i not in kept), "fbang")
+            _bystanders_unbounded(sig, ctx, filterfalse(kept.__contains__, range(n)), "fbang")
             return [((("pick", tuple(sorted(kept))), ("fpart", 0)), NO_FOCUS)]
         case "par" | "bot" | "with" | "top":
-            require_no_focus()
+            _require_no_focus(focus, rule)
             return uf.premise_plans(sig, fseq, UProof(rule, principal=p))
         case _:
             _fail(Reason.CONTEXT_MISMATCH, f"unknown rule tag {rule!r}")
@@ -320,11 +319,9 @@ def _defocus(
     )
 
     rule = node.rule
-    premise_tags = [materialize(plan, tags) for plan in plans]
-
     match rule:
         case "decide" | "blur":
-            return [], [(slots, premise_tags[0])]
+            return [], [(slots, materialize(plans[0], tags))]
         case "udecide":
             # contraction then dereliction put the body right after the
             # formula; a fresh occurrence, since the formula stays to be
@@ -343,44 +340,48 @@ def _defocus(
                 keep.append(tags.context[node.principal])
             elif rule == FBANG:
                 keep.extend(map(tags.context.__getitem__, node.kept))
-            # weaken away every other slot, highest position first
-            kept = sorted(map(slots.context.index, keep))
+            # weaken away every other slot, highest position first; a kept
+            # slot then sits at its rank among the kept ones
+            at = [*map(slots.context.index, keep)]
+            kept = sorted(at)
             gone = sorted(set(range(len(slots.context))).difference(kept), reverse=True)
             chain = [(uf.WEAK, p, None, None) for p in gone]
-            slots = materialize(((("pick", tuple(kept)),), NO_FOCUS), slots)
             if rule == FONE:
                 return chain + [(uf.ONE_RULE, None, None, None)], []
             if rule == FINIT:
-                pair = tuple(map(slots.context.index, keep))
-                return chain + [(uf.INIT, None, pair, None)], []
-            head = (uf.BANG, slots.context.index(tags.focus), None, None)
-            return chain + [head], _emit(sig, head, slots, premise_tags)
+                return chain + [(uf.INIT, None, tuple(map(kept.index, at)), None)], []
+            slots = materialize(((("pick", tuple(kept)),), NO_FOCUS), slots)
+            head = (uf.BANG, kept.index(at[0]), None, None)
+            return chain + [head], _emit(sig, head, slots, plans, tags)
         case "ftensor":
             # one explicit contraction per copied formula, highest position
             # first; each original stays left of its copy and goes left
-            copied = sorted(slots.context.index(tags.context[i]) for i in node.kept)
-            doubled = tuple(sorted((*range(len(slots.context)), *copied)))
-            slots = materialize(((("pick", doubled),), NO_FOCUS), slots)
+            chain = []
+            if node.kept:
+                copied = sorted(map(slots.context.index, map(tags.context.__getitem__, node.kept)))
+                doubled = tuple(sorted((*range(len(slots.context)), *copied)))
+                slots = materialize(((("pick", doubled),), NO_FOCUS), slots)
+                chain = [(uf.CONTR, p, None, None) for p in reversed(copied)]
             left = map(tags.context.__getitem__, (*node.kept, *node.split))
             split = tuple(sorted(map(slots.context.index, left)))
-            head = (uf.TENSOR, slots.context.index(tags.focus), None, split)
-            contractions = [(uf.CONTR, p, None, None) for p in reversed(copied)]
-            return contractions + [head], _emit(sig, head, slots, premise_tags)
+            chain.append((uf.TENSOR, slots.context.index(tags.focus), None, split))
+            return chain, _emit(sig, chain[-1], slots, plans, tags)
         case _:
             at = tags.focus if rule in (FPLUS1, FPLUS2) else tags.context[node.principal]
             head = (_ONE_POSITION.get(rule, rule), slots.context.index(at), None, None)
-            return [head], _emit(sig, head, slots, premise_tags)
+            return [head], _emit(sig, head, slots, plans, tags)
 
 
 def _emit(
-    sig: Signature, head: tuple, slots: FSequent, premise_tags: list[FSequent]
+    sig: Signature, head: tuple, slots: FSequent, plans: list[Plan], tags: FSequent
 ) -> list[tuple[FSequent, FSequent]]:
-    """``head``'s premises, each with its slots and the focused tags.
+    """``head``'s premises, each with its slots and the focused premise's
+    tags, which ``plans`` lay out.
 
     ``head`` is validated on the formulas the slots stand for.
     """
     u = FSequent(tuple(map(_FORMULA, slots.context)))
     return [
-        (materialize(plan, slots), t)
-        for plan, t in zip(uf.premise_plans(sig, u, UProof(*head)), premise_tags)
+        (materialize(plan, slots), materialize(fplan, tags))
+        for plan, fplan in zip(uf.premise_plans(sig, u, UProof(*head)), plans)
     ]

@@ -139,14 +139,18 @@ def dual(f: Formula) -> Formula:
     return done[0]
 
 
+_POLARITIES = {
+    **dict.fromkeys((Atom, Tensor, One, Plus, Zero, Bang), Polarity.POSITIVE),
+    **dict.fromkeys((NegAtom, Par, Bot, With, Top, Qm), Polarity.NEGATIVE),
+}
+
+
 def polarity(f: Formula) -> Polarity:
     """Positive formulas have non-invertible rules; duals swap polarity."""
-    match f:
-        case Atom() | Tensor() | One() | Plus() | Zero() | Bang():
-            return Polarity.POSITIVE
-        case NegAtom() | Par() | Bot() | With() | Top() | Qm():
-            return Polarity.NEGATIVE
-    raise TypeError(f"not a formula: {f!r}")
+    p = _POLARITIES.get(type(f))
+    if p is None:
+        raise TypeError(f"not a formula: {f!r}")
+    return p
 
 
 def labels_of(f: Formula) -> frozenset[str]:

@@ -21,7 +21,8 @@ the line-oriented formats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError
 from .formulas import (
@@ -46,24 +47,20 @@ from .formulas import (
 )
 from .signatures import Signature, close_signature, is_identifier
 
-_PUNCT = {
-    "(": "lparen",
-    ")": "rparen",
-    "*": "star",
-    "|": "pipe",
-    "+": "plus",
-    "&": "amp",
-    "!": "bang",
-    "?": "qm",
-    "~": "tilde",
-    ",": "comma",
+_SYMBOLS = {
+    "|-": "turnstile", "<=": "le", "(": "lparen", ")": "rparen", "*": "star", "|": "pipe",
+    "+": "plus", "&": "amp", "!": "bang", "?": "qm", "~": "tilde", ",": "comma",
 }
 
 _RESERVED = {"bot", "top"}
 
+# One token per match, after the whitespace and ``#`` comments before it:
+# a symbol, a run of word characters (``\w`` is ``str.isalnum`` or ``_``),
+# any other character, which is an error, or the end of the text.
+_TOKEN = re.compile(r"((?:[ \t\r\n]+|#[^\n]*)*)(?:(\|-|<=|[()*|+&!?~,])|(\w+)|(.)|\Z)", re.S)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -72,63 +69,50 @@ class Token:
 
 def tokenize(text: str, filename: str | None = None) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "|" and i + 1 < n and text[i + 1] == "-":
-            tokens.append(Token("turnstile", "|-", line, col))
-            i += 2
-            col += 2
-            continue
-        if c == "<" and i + 1 < n and text[i + 1] == "=":
-            tokens.append(Token("le", "<=", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c in "01" and not (i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "_")):
-            tokens.append(Token("unit", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "reserved" if word in _RESERVED else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col, filename)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    for skipped, symbol, word, bad in _TOKEN.findall(text):
+        if skipped:
+            last = skipped.rfind("\n") + 1
+            if last:
+                line += skipped.count("\n")
+                line_start = pos + last
+            if not (symbol or word or bad) and "#" in skipped[last:]:
+                # the end sits where a comment on the last line starts
+                skipped = skipped[: skipped.index("#", last)]
+            pos += len(skipped)
+        col = pos - line_start + 1
+        if symbol:
+            tokens.append(Token(_SYMBOLS[symbol], symbol, line, col))
+            pos += len(symbol)
+        elif word:
+            if word[0].isalpha() or word[0] == "_":
+                tokens.append(Token("reserved" if word in _RESERVED else "ident", word, line, col))
+            else:
+                tokens += _word_tokens(word, line, col, filename)
+            pos += len(word)
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r}", line, col, filename)
+        else:
+            tokens.append(Token("eof", "", line, col))
+            return tokens
+
+
+def _word_tokens(word: str, line: int, col: int, filename: str | None) -> list[Token]:
+    """A word that starts with neither a letter nor ``_``: a lone ``0`` or
+    ``1`` is a unit; otherwise leading digits (``str.isdigit``) make a
+    number, and any rest must be an identifier."""
+    if word == "0" or word == "1":
+        return [Token("unit", word, line, col)]
+    digits = 0
+    while digits < len(word) and word[digits].isdigit():
+        digits += 1
+    tokens = [Token("number", word[:digits], line, col)] if digits else []
+    rest = word[digits:]
+    if rest:
+        col += digits
+        if not (rest[0].isalpha() or rest[0] == "_"):
+            raise ParseError(f"unexpected character {rest[0]!r}", line, col, filename)
+        tokens.append(Token("reserved" if rest in _RESERVED else "ident", rest, line, col))
     return tokens
 
 

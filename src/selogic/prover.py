@@ -57,8 +57,9 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import CheckError
 from .focusing import (
@@ -134,6 +135,10 @@ SearchResult = Proved | Exhausted
 
 #: The rule of each connective the invertible phase takes apart.
 _INVERTIBLE = {Par: PAR, Bot: BOT_RULE, With: WITH, Top: TOP_RULE}
+
+#: Heads that take no position, shared by every search.
+_BLUR_HEAD = FProof(BLUR)
+_PLUS_HEADS = (FProof(FPLUS1), FProof(FPLUS2))
 
 
 class _NodeCap(Exception):
@@ -327,8 +332,8 @@ class _Searcher:
                 return None, False
             case Plus():
                 any_cutoff = False
-                for rule in (FPLUS1, FPLUS2):
-                    proof, cutoff = self._expand(fseq, FProof(rule), budget, used)
+                for head in _PLUS_HEADS:
+                    proof, cutoff = self._expand(fseq, head, budget, used)
                     if proof is not None:
                         return proof, False
                     any_cutoff = any_cutoff or cutoff
@@ -342,7 +347,7 @@ class _Searcher:
                 avail = [i for i in range(len(ctx)) if i not in kept]
                 cut = [False]
                 tried = set()
-                for left, taken in self._synchronous(ctx, kept, avail, first, budget, used, cut):
+                for make_left, taken in self._synchronous(ctx, kept, avail, first, budget, used, cut):
                     key = context_key(self.table, [ctx[i] for i in taken])
                     if key in tried:
                         continue
@@ -352,7 +357,7 @@ class _Searcher:
                     right, cutoff = self.search(FSequent(rest, second), budget, used)
                     if right is not None:
                         split = tuple(sorted(taken))
-                        return FProof(FTENSOR, split=split, kept=kept, premises=(left, right)), False
+                        return FProof(FTENSOR, None, split, kept, (make_left(), right)), False
                     cut[0] = cut[0] or cutoff
                 return None, cut[0]
             case Bang(label=label):
@@ -367,7 +372,7 @@ class _Searcher:
                 return self._expand(fseq, head, budget, used)
             case _:
                 # negative focus: release it and resume the invertible phase
-                return self._expand(fseq, FProof(BLUR), budget, used)
+                return self._expand(fseq, _BLUR_HEAD, budget, used)
 
     def _synchronous(
         self,
@@ -378,12 +383,14 @@ class _Searcher:
         budget: int,
         used: int,
         cut: list[bool],
-    ) -> Iterator[tuple[FProof, tuple[int, ...]]]:
+    ) -> Iterator[tuple[Callable[[], FProof], tuple[int, ...]]]:
         """Proofs of ``focus`` that take from ``avail`` what they need.
 
-        Yields ``(proof, taken)``: ``proof`` proves ``focus`` over the
-        positions ``kept`` and ``taken`` of ``ctx``, in context order, and
-        ``taken`` lists the positions of ``avail`` it consumed.  Synchronous
+        Yields ``(make, taken)``: ``make()`` builds a proof of ``focus`` over
+        the positions ``kept`` and ``taken`` of ``ctx``, in context order,
+        and ``taken`` lists the positions of ``avail`` it consumed.  Most
+        outcomes are dropped, as tried already or for a failing right
+        premise, so only the returned one is built.  Synchronous
         connectives take formulas lazily; only fbang and blur, whose
         premises are searched strictly, try one premise context per
         multiset of the formulas they may take.  A strict premise that
@@ -395,29 +402,22 @@ class _Searcher:
                 for i in avail:
                     g = ctx[i]
                     if isinstance(g, NegAtom) and g.name == name:
-                        yield FProof(FINIT, principal=bisect(kept, i)), (i,)
+                        yield partial(FProof, FINIT, bisect(kept, i)), (i,)
                         return
             case One():
-                yield FProof(FONE), ()
+                yield partial(FProof, FONE), ()
             case Zero():
                 return
             case Plus(left=a, right=b):
                 for rule, part in ((FPLUS1, a), (FPLUS2, b)):
-                    for proof, taken in self._synchronous(ctx, kept, avail, part, budget, used, cut):
-                        yield FProof(rule, premises=(proof,)), taken
+                    for make, taken in self._synchronous(ctx, kept, avail, part, budget, used, cut):
+                        yield partial(_one_premise, rule, make), taken
             case Tensor(left=a, right=b):
                 for left, taken_a in self._synchronous(ctx, kept, avail, a, budget, used, cut):
                     rest = [i for i in avail if i not in taken_a]
                     for right, taken_b in self._synchronous(ctx, kept, rest, b, budget, used, cut):
                         taken = taken_a + taken_b
-                        rank = {p: r for r, p in enumerate(sorted(kept + taken))}
-                        head = FProof(
-                            FTENSOR,
-                            split=tuple(sorted(rank[i] for i in taken_a)),
-                            kept=tuple(rank[i] for i in kept),
-                            premises=(left, right),
-                        )
-                        yield head, taken
+                        yield partial(_ftensor, kept, taken, taken_a, left, right), taken
             case Bang(label=label, body=body):
                 above = lambda i: isinstance(ctx[i], Qm) and leq(self.sig, label, ctx[i].label)
                 promoted = [i for i in kept if above(i)]
@@ -430,8 +430,7 @@ class _Searcher:
                     if proof is None:
                         cut[0] = cut[0] or cutoff
                         continue
-                    rank = {p: r for r, p in enumerate(sorted(kept + taken))}
-                    yield FProof(FBANG, kept=tuple(rank[i] for i in inner), premises=(proof,)), taken
+                    yield partial(_fbang, kept, taken, inner, proof), taken
             case _:
                 # negative: blur and search the rest of the premise strictly
                 classes = [self.table[id(ctx[i])] for i in avail]
@@ -441,7 +440,7 @@ class _Searcher:
                     if proof is None:
                         cut[0] = cut[0] or cutoff
                         continue
-                    yield FProof(BLUR, premises=(proof,)), taken
+                    yield partial(FProof, BLUR, None, None, None, (proof,)), taken
 
     def _count(self) -> None:
         self.stats.nodes += 1
@@ -455,3 +454,21 @@ class _Searcher:
             return False
         return True
 
+
+# The nodes of a returned synchronous outcome, whose context is the
+# positions ``kept + taken``: its position lists give their ranks.
+
+
+def _one_premise(rule: str, make: Callable[[], FProof]) -> FProof:
+    return FProof(rule, premises=(make(),))
+
+
+def _ftensor(kept, taken, taken_a, left, right) -> FProof:
+    rank = {p: r for r, p in enumerate(sorted(kept + taken))}
+    split = tuple(sorted(rank[i] for i in taken_a))
+    return FProof(FTENSOR, None, split, tuple(rank[i] for i in kept), (left(), right()))
+
+
+def _fbang(kept, taken, inner, proof) -> FProof:
+    rank = {p: r for r, p in enumerate(sorted(kept + taken))}
+    return FProof(FBANG, kept=tuple(rank[i] for i in inner), premises=(proof,))

@@ -28,7 +28,7 @@ checked certificate for the goal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AtomClash, CheckError, MalformedCertificate, TraceMismatch, UnknownState
@@ -223,7 +223,7 @@ class _Builder:
         self._push(fseq, FProof(DECIDE, principal=0))
         proof = FProof(FONE)
         for head, left in reversed(self.spine):
-            proof = replace(head, premises=(*left, proof))
+            proof = FProof(head.rule, head.principal, head.split, head.kept, (*left, proof))
         return proof
 
     def _fire(self, fseq: FSequent, e: Entry) -> FSequent:
@@ -249,8 +249,8 @@ class _Builder:
         a_pos = self._anchor(fseq)
         outer = FProof(FTENSOR, kept=(), split=tuple(sorted((a_pos, t_pos))))
         # the left premise holds the anchor and the token in context order
-        inner = FProof(FTENSOR, kept=(), split=(int(t_pos < a_pos),))
-        left = replace(inner, premises=(FProof(FINIT, principal=0), _CONSUME_TOKEN))
+        split = (int(t_pos < a_pos),)
+        left = FProof(FTENSOR, None, split, (), (FProof(FINIT, principal=0), _CONSUME_TOKEN))
         return self._push(self._push(fseq, outer, left), FProof(BLUR))
 
 
@@ -295,7 +295,9 @@ def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
     unique state atom — so the mnemonics concatenate along a single spine.
     """
     sig = bundle.signature
-    wrapped = [Qm(LABEL_INF, f) for f in bundle.table]
+    # a checked certificate's contexts share the goal's own table elements,
+    # found by identity; equal elements fire the same instruction
+    element_ids = [*map(id, bundle.goal[: len(bundle.table)])]
     names: list[str | None] = [e.instruction for e in bundle.machine.entries]
     names += [None] * (len(bundle.table) - len(names))
 
@@ -310,12 +312,15 @@ def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
         for i, (node, fseq, _, parent) in enumerate(walk):
             here = nearest[parent] if parent >= 0 else -1
             if node.rule == UDECIDE:
-                try:
-                    j = wrapped.index(fseq.context[node.principal])
-                except ValueError:
+                f = fseq.context[node.principal]
+                if id(f) in element_ids:
+                    j = element_ids.index(id(f))
+                elif f in (wrapped := [Qm(LABEL_INF, g) for g in bundle.table]):
+                    j = wrapped.index(f)
+                else:
                     raise MalformedCertificate(
                         "udecide focuses a formula outside the instruction table"
-                    ) from None
+                    )
                 if names[j] is not None:
                     if here != last:
                         raise MalformedCertificate(

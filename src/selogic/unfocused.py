@@ -8,9 +8,7 @@ out each premise as a plan, a short list of segments over the conclusion
 (runs and picks of kept positions plus the few new formulas), and
 :func:`materialize` joins those segments into the premise at C speed.
 The same plans drive the checking walk, the bounded proof search used as
-a test oracle, the positional bookkeeping that re-indexes proofs under
-context permutations, and, in the focused calculus, the prover and
-defocusing.
+a test oracle and, in the focused calculus, the prover and defocusing.
 
 Rule tags::
 
@@ -177,6 +175,16 @@ def _fail(reason: Reason, message: str):
     raise CheckError(reason, message)
 
 
+def _principal(ctx: Context, p: int | None) -> Formula:
+    if p is None or not 0 <= p < len(ctx):
+        _fail(Reason.CONTEXT_MISMATCH, f"position {p} out of range for context of {len(ctx)}")
+    return ctx[p]
+
+
+def _in_range(positions, n: int) -> bool:
+    return not positions or (0 <= min(positions) and max(positions) < n)
+
+
 def premise_plans(sig: Signature, seq: FSequent, node: UProof) -> list[Plan]:
     """Validate one rule application and lay out its premises.
 
@@ -187,11 +195,6 @@ def premise_plans(sig: Signature, seq: FSequent, node: UProof) -> list[Plan]:
     n = len(ctx)
     rule = node.rule
     p = node.principal
-
-    def principal() -> Formula:
-        if p is None or not 0 <= p < n:
-            _fail(Reason.CONTEXT_MISMATCH, f"position {p} out of range for context of {n}")
-        return ctx[p]
 
     match rule:
         case "init":
@@ -209,32 +212,33 @@ def premise_plans(sig: Signature, seq: FSequent, node: UProof) -> list[Plan]:
                 _fail(Reason.CONTEXT_MISMATCH, "the unit rule closes exactly |- 1")
             return []
         case "top":
-            if not isinstance(principal(), Top):
+            if not isinstance(_principal(ctx, p), Top):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not top")
             return []
         case "par":
-            if not isinstance(principal(), Par):
+            if not isinstance(_principal(ctx, p), Par):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not a par")
             return [(around(n, p, ("part", p, 0), ("part", p, 1)), NO_FOCUS)]
         case "bot":
-            if not isinstance(principal(), Bot):
+            if not isinstance(_principal(ctx, p), Bot):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not bot")
             return [(around(n, p), NO_FOCUS)]
         case "with":
-            if not isinstance(principal(), With):
+            if not isinstance(_principal(ctx, p), With):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not a with")
-            return [(around(n, p, ("part", p, k)), NO_FOCUS) for k in (0, 1)]
+            left, right = around(n, p, ("part", p, 0)), around(n, p, ("part", p, 1))
+            return [(left, NO_FOCUS), (right, NO_FOCUS)]
         case "plus1" | "plus2":
-            if not isinstance(principal(), Plus):
+            if not isinstance(_principal(ctx, p), Plus):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not a plus")
             k = 0 if rule == "plus1" else 1
             return [(around(n, p, ("part", p, k)), NO_FOCUS)]
         case "qm":
-            if not isinstance(principal(), Qm):
+            if not isinstance(_principal(ctx, p), Qm):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not question-marked")
             return [(around(n, p, ("part", p, 0)), NO_FOCUS)]
         case "bang":
-            f = principal()
+            f = _principal(ctx, p)
             if not isinstance(f, Bang):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not banged")
             for i in range(n):
@@ -249,21 +253,21 @@ def premise_plans(sig: Signature, seq: FSequent, node: UProof) -> list[Plan]:
                     )
             return [(around(n, p, ("part", p, 0)), NO_FOCUS)]
         case "weak":
-            f = principal()
+            f = _principal(ctx, p)
             if not isinstance(f, Qm):
                 _fail(Reason.CONTEXT_MISMATCH, "weakening needs a question-marked formula")
             if not is_unbounded(sig, f.label):
                 _fail(Reason.STRUCTURAL_ON_BOUNDED, f"label {f.label!r} does not admit weakening")
             return [(around(n, p), NO_FOCUS)]
         case "contr":
-            f = principal()
+            f = _principal(ctx, p)
             if not isinstance(f, Qm):
                 _fail(Reason.CONTEXT_MISMATCH, "contraction needs a question-marked formula")
             if not is_unbounded(sig, f.label):
                 _fail(Reason.STRUCTURAL_ON_BOUNDED, f"label {f.label!r} does not admit contraction")
             return [((("run", 0, p + 1), ("copy", p), ("run", p + 1, n)), NO_FOCUS)]
         case "tensor":
-            f = principal()
+            f = _principal(ctx, p)
             if not isinstance(f, Tensor):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not a tensor")
             if node.split is None:
@@ -271,7 +275,7 @@ def premise_plans(sig: Signature, seq: FSequent, node: UProof) -> list[Plan]:
             split = set(node.split)
             if len(split) != len(node.split):
                 _fail(Reason.CONTEXT_MISMATCH, "tensor split repeats a position")
-            if not all(0 <= i < n and i != p for i in split):
+            if not _in_range(split, n) or p in split:
                 _fail(Reason.CONTEXT_MISMATCH, "tensor split positions out of range")
             left = sorted(split)
             cut = bisect(left, p)
@@ -614,45 +618,3 @@ def _derivations(
         # happened inside the caller's subtree too
         if mylow[0] < low[0]:
             low[0] = mylow[0]
-
-
-# --- positional re-indexing -------------------------------------------------
-
-def permute_proof(sig: Signature, ctx: Context, proof: UProof, perm: tuple[int, ...]) -> UProof:
-    """Re-index ``proof`` so it checks against the permuted context
-    ``tuple(ctx[p] for p in perm)``.
-
-    ``perm`` lists, for each new position, the old position it draws from.
-    Each premise's induced permutation is read off by moving one
-    :class:`Occurrence` per conclusion position through the old and the new
-    node's plans; a contraction's original and copy share an occurrence and
-    keep their order.  One explicit-stack pass visits the nodes in
-    pre-order, each with its old sequent and permutation, and
-    :func:`assemble` builds the result.
-    """
-    order: list[tuple[list, int]] = []
-    pending = [(FSequent(ctx), proof, perm)]
-    while pending:
-        seq, proof, perm = pending.pop()
-        inv = [0] * len(perm)
-        for new, old in enumerate(perm):
-            inv[old] = new
-        new_head = (
-            proof.rule,
-            None if proof.principal is None else inv[proof.principal],
-            None if proof.pair is None else (inv[proof.pair[0]], inv[proof.pair[1]]),
-            None if proof.split is None else tuple(sorted(inv[i] for i in proof.split)),
-        )
-        permuted = ((("pick", perm),), NO_FOCUS)
-        old_plans = premise_plans(sig, seq, proof)
-        new_plans = premise_plans(sig, materialize(permuted, seq), UProof(*new_head))
-        tags = FSequent(tuple(map(Occurrence, seq.context)))
-        new_tags = materialize(permuted, tags)
-        order.append(([new_head], len(proof.premises)))
-        for k in range(len(proof.premises) - 1, -1, -1):
-            slots: dict[Occurrence, list[int]] = {}
-            for j, tag in enumerate(materialize(old_plans[k], tags).context):
-                slots.setdefault(tag, []).append(j)
-            sub_perm = tuple(slots[tag].pop(0) for tag in materialize(new_plans[k], new_tags).context)
-            pending.append((materialize(old_plans[k], seq), proof.premises[k], sub_perm))
-    return assemble(order)

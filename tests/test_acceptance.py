@@ -55,11 +55,12 @@ from selogic.unfocused import (
     check_unfocused,
     count_rule,
     materialize,
-    permute_proof,
     premise_plans,
     proof_size,
     search_unfocused,
 )
+
+from reindex import permute_proof
 
 
 HALTING_NONEMPTY = (

@@ -1,10 +1,11 @@
 import hashlib
+import re
 import time
 from dataclasses import fields
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from selogic.certificates import (
     _lex,
@@ -451,6 +452,267 @@ def test_lexer_matches_the_character_loop(text):
         )
     else:
         assert _lex(text, None) == expected
+
+
+# --- the one-pass reader against the two-pass reader it replaced -----------
+
+
+class _SList:
+    __slots__ = ("items", "line", "col")
+
+    def __init__(self, items, line, col):
+        self.items = items
+        self.line = line
+        self.col = col
+
+
+def _read_sexpr(text, filename):
+    toks = _lex(text, filename)
+    if not toks:
+        raise ParseError("empty certificate", 1, 1, filename)
+    open_lists = []
+    for i, (kind, val, line, col) in enumerate(toks):
+        if kind == "(":
+            open_lists.append(_SList([], line, col))
+            continue
+        if kind == ")":
+            if not open_lists:
+                raise ParseError("unmatched closing parenthesis", line, col, filename)
+            node = open_lists.pop()
+        else:
+            node = val
+        if open_lists:
+            open_lists[-1].items.append(node)
+            continue
+        if i + 1 < len(toks):
+            _, _, line, col = toks[i + 1]
+            raise ParseError("trailing input after the certificate", line, col, filename)
+        return node
+    inner = open_lists[-1]
+    raise ParseError("unclosed parenthesis", inner.line, inner.col, filename)
+
+
+class _Shape:
+    def __init__(self, node, filename):
+        if not isinstance(node, _SList) or not node.items or not isinstance(node.items[0], str):
+            line = getattr(node, "line", 1)
+            col = getattr(node, "col", 1)
+            raise ParseError("expected a (rule ...) form", line, col, filename)
+        self.node = node
+        self.filename = filename
+        self.tag = node.items[0]
+        self.rest = node.items[1:]
+        self.at = 0
+
+    def fail(self, message):
+        raise ParseError(f"{self.tag}: {message}", self.node.line, self.node.col, self.filename)
+
+    def _next(self):
+        if self.at >= len(self.rest):
+            self.fail("too few arguments")
+        x = self.rest[self.at]
+        self.at += 1
+        return x
+
+    def num(self):
+        x = self._next()
+        if not isinstance(x, int):
+            self.fail("expected a position number")
+        return x
+
+    def numlist(self, marker):
+        x = self._next()
+        if (
+            not isinstance(x, _SList)
+            or not x.items
+            or x.items[0] != marker
+            or not all(isinstance(y, int) for y in x.items[1:])
+        ):
+            self.fail(f"expected ({marker} ...) with position numbers")
+        return tuple(x.items[1:])
+
+    def sub(self):
+        return self._next()
+
+    def done(self):
+        if self.at != len(self.rest):
+            self.fail("too many arguments")
+
+
+def _build(root, filename, shape, make):
+    order = []
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        fields, subs = shape(_Shape(node, filename))
+        order.append((fields, len(subs)))
+        pending.extend(reversed(subs))
+    built = []
+    for fields, arity in reversed(order):
+        if arity:
+            fields["premises"] = tuple(reversed(built[-arity:]))
+            del built[-arity:]
+        built.append(make(**fields))
+    return built[0]
+
+
+def _u_shape(s):
+    match s.tag:
+        case "init":
+            i, j = s.num(), s.num()
+            s.done()
+            return {"rule": INIT, "pair": (i, j)}, []
+        case "one":
+            s.done()
+            return {"rule": ONE_RULE}, []
+        case "top":
+            p = s.num()
+            s.done()
+            return {"rule": "top", "principal": p}, []
+        case "tensor":
+            p = s.num()
+            left = s.numlist("left")
+            l, r = s.sub(), s.sub()
+            s.done()
+            return {"rule": TENSOR, "principal": p, "split": left}, [l, r]
+        case "with":
+            p = s.num()
+            l, r = s.sub(), s.sub()
+            s.done()
+            return {"rule": "with", "principal": p}, [l, r]
+        case "plus1" | "plus2" | "par" | "bot" | "qm" | "bang" | "weak" | "contr":
+            p = s.num()
+            sub = s.sub()
+            s.done()
+            return {"rule": s.tag, "principal": p}, [sub]
+        case _:
+            s.fail("not an unfocused rule")
+
+
+def _f_shape(s):
+    match s.tag:
+        case "finit":
+            p = s.num()
+            s.done()
+            return {"rule": FINIT, "principal": p}, []
+        case "f1":
+            s.done()
+            return {"rule": FONE}, []
+        case "top":
+            p = s.num()
+            s.done()
+            return {"rule": "top", "principal": p}, []
+        case "ftensor":
+            kept = s.numlist("kept")
+            left = s.numlist("left")
+            l, r = s.sub(), s.sub()
+            s.done()
+            return {"rule": FTENSOR, "kept": kept, "split": left}, [l, r]
+        case "with":
+            p = s.num()
+            l, r = s.sub(), s.sub()
+            s.done()
+            return {"rule": "with", "principal": p}, [l, r]
+        case "fbang":
+            kept = s.numlist("kept")
+            sub = s.sub()
+            s.done()
+            return {"rule": "fbang", "kept": kept}, [sub]
+        case "fplus1" | "fplus2" | "blur":
+            sub = s.sub()
+            s.done()
+            return {"rule": s.tag}, [sub]
+        case "decide" | "ldecide" | "udecide" | "par" | "bot":
+            p = s.num()
+            sub = s.sub()
+            s.done()
+            return {"rule": s.tag, "principal": p}, [sub]
+        case _:
+            s.fail("not a focused rule")
+
+
+_READERS = [
+    (parse_focused_proof, lambda text: _build(_read_sexpr(text, "c.cert"), "c.cert", _f_shape, FProof)),
+    (parse_unfocused_proof, lambda text: _build(_read_sexpr(text, "c.cert"), "c.cert", _u_shape, UProof)),
+]
+
+
+def _same_reading(text):
+    """Both readers give the same tree, or the same error at the same place."""
+    for parse, reference in _READERS:
+        try:
+            expected = reference(text)
+        except ParseError as e:
+            with pytest.raises(ParseError) as got:
+                parse(text, "c.cert")
+            assert (got.value.message, got.value.line, got.value.column, str(got.value)) == (
+                e.message, e.line, e.column, str(e),
+            )
+        else:
+            assert _same_tree(parse(text, "c.cert"), expected)
+
+
+@settings(max_examples=300)
+@given(_FUZZ_TEXT)
+def test_reader_matches_the_two_pass_reader_on_fuzzed_text(text):
+    _same_reading(text)
+
+
+# Well-formed texts of both calculi that together use every rule, and deep
+# spines; the edits below make them nearly valid.
+_VALID_TEXTS = [
+    "(tensor 1 (left 0) (init 0 1) (bang 0 (one)))",
+    "(with 0 (plus1 0 (init 0 1)) (plus2 0 (contr 1 (qm 2 (weak 0 (par 0 (bot 1 (top 2))))))))",
+    "(udecide 1 (blur (par 0 (ldecide 0 (with 2 (top 0) (finit 1))))))",
+    "(fbang (kept 0 2) (fplus2 (blur (bot 1 (decide 0 (ftensor (kept 3) (left 0 1) (f1) (fplus1 (finit 0))))))))",
+    "(blur " * 300 + "(f1)" + ")" * 300,
+    "(weak 0\n" * 300 + "(one)" + ")" * 300,
+]
+_EDIT_TOKENS = [
+    "(", ")", "()", "0", "7", "12", "kept", "left", "(kept)", "(kept 1 2)", "(left 0)",
+    "(left x)", "(f1)", "(one)", "(finit 0)", "(init 0 1)", "x", "X", "²", "[",
+    "; note\n", *_FUZZ_WORDS,
+]
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["drop", "insert", "replace"]),
+        st.integers(0, 10**6),
+        st.sampled_from(_EDIT_TOKENS),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _edit(text, edits, space):
+    tokens = re.findall(r"[()]|[^\s()]+", text)
+    for kind, at, token in edits:
+        at %= len(tokens) + (kind == "insert")
+        if kind == "drop":
+            del tokens[at]
+        elif kind == "insert":
+            tokens.insert(at, token)
+        else:
+            tokens[at] = token
+        if not tokens:
+            break
+    return space.join(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_VALID_TEXTS), _EDITS, st.sampled_from([" ", "\n", " \n\t"]))
+def test_reader_matches_the_two_pass_reader_on_nearly_valid_text(text, edits, space):
+    _same_reading(text)
+    _same_reading(_edit(text, edits, space))
+
+
+def test_reader_matches_the_two_pass_reader_on_corpus_text(corpus_proofs):
+    for _, fp, up in corpus_proofs.values():
+        for text in (print_focused_proof(fp), print_unfocused_proof(up)):
+            _same_reading(text)
+            # one parenthesis too few and one too many, at the deepest point
+            _same_reading(text[:-2])
+            _same_reading(text + ")")
 
 
 def test_lexer_rejects_lower_case_symbols_that_are_not_letters():

@@ -1,18 +1,20 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from selogic.errors import ParseError, UnknownLabel
 from selogic.formulas import Atom, Bang, NegAtom, Qm, Sequent, Tensor
 from selogic.generators import random_formula, random_signature
 from selogic.parsing import (
+    Token,
     parse_formula,
     parse_sequent,
     parse_signature,
     print_formula,
     print_sequent,
     print_signature,
+    tokenize,
 )
 
 PINNED = [
@@ -164,3 +166,108 @@ def test_unclosed_deep_formulas_are_parse_errors(text, message, col):
         parse_formula(text)
     assert e.value.message == message
     assert (e.value.line, e.value.column) == (1, col)
+
+
+# --- the tokenizer against the character loop it replaced -----------------
+
+_PUNCT = {
+    "(": "lparen", ")": "rparen", "*": "star", "|": "pipe", "+": "plus", "&": "amp",
+    "!": "bang", "?": "qm", "~": "tilde", ",": "comma",
+}
+
+
+def _char_tokenize(text):
+    """The character-at-a-time tokenizer that one regular expression replaced."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == "|" and i + 1 < n and text[i + 1] == "-":
+            tokens.append(Token("turnstile", "|-", line, col))
+            i += 2
+            col += 2
+            continue
+        if c == "<" and i + 1 < n and text[i + 1] == "=":
+            tokens.append(Token("le", "<=", line, col))
+            i += 2
+            col += 2
+            continue
+        if c in _PUNCT:
+            tokens.append(Token(_PUNCT[c], c, line, col))
+            i += 1
+            col += 1
+            continue
+        if c in "01" and not (i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "_")):
+            tokens.append(Token("unit", c, line, col))
+            i += 1
+            col += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(Token("number", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "reserved" if word in {"bot", "top"} else "ident"
+            tokens.append(Token(kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col, None)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+# Characters the two tokenizers could read differently: whitespace they
+# skip or reject, comments (also at the end), both two-character symbols
+# and their halves, units next to identifiers and digits, ASCII and other
+# digits, letters in and outside ASCII, and word characters that are
+# neither letters nor digits.
+_TOKEN_PIECES = st.sampled_from(
+    ["(", ")", "*", "|", "+", "&", "!", "?", "~", ",", "|-", "<=", "<", "-", "=",
+     " ", "\t", "\r", "\n", "\x0b", "\xa0", "#", "# c |- x\n", "# end",
+     "0", "1", "01", "10", "x", "x1", "1x", "0_", "_", "bot", "top", "topx", "Z",
+     "12", "\u00b2", "\u0663", "\u00bd", "\u2170", "\u00e9", "\u00c9", "\u01c5",
+     "\u05d0", "\u24d0", "[", ";"]
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_TOKEN_PIECES, max_size=16).map("".join))
+@example("1")
+@example("(0 * 1x)")
+@example("|- x, ~y # end")
+@example("a <= b\n# c")
+@example("\u00b2x")
+def test_tokenizer_matches_the_character_loop(text):
+    try:
+        expected = _char_tokenize(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            tokenize(text)
+        assert (got.value.message, got.value.line, got.value.column) == (
+            e.message, e.line, e.column,
+        )
+    else:
+        assert tokenize(text) == expected
