@@ -48,6 +48,7 @@ from .formulas import (
     With,
     polarity,
 )
+from .records import ProofNode, setfield
 from .signatures import Signature, is_unbounded, leq
 from . import unfocused as uf
 from .unfocused import (
@@ -68,8 +69,8 @@ FBANG = "fbang"
 DECIDE_RULES = (DECIDE, LDECIDE, UDECIDE)
 
 
-@dataclass(frozen=True, slots=True)
-class FProof:
+@dataclass(slots=True, eq=False, repr=False, init=False)
+class FProof(ProofNode):
     """One node of a focused certificate.
 
     ``principal`` addresses the context for decide flavours, finit and the
@@ -79,10 +80,17 @@ class FProof:
     """
 
     rule: str
-    principal: int | None = None
-    split: tuple[int, ...] | None = None
-    kept: tuple[int, ...] | None = None
-    premises: tuple["FProof", ...] = ()
+    principal: int | None
+    split: tuple[int, ...] | None
+    kept: tuple[int, ...] | None
+    premises: tuple[FProof, ...]
+
+    def __init__(self, rule, principal=None, split=None, kept=None, premises=()):
+        setfield(self, "rule", rule)
+        setfield(self, "principal", principal)
+        setfield(self, "split", split)
+        setfield(self, "kept", kept)
+        setfield(self, "premises", premises)
 
 
 #: The negative connectives other than negated atoms and ``?``: the ones the

@@ -2,96 +2,116 @@
 
 Formulas are in negation normal form: negation appears only on atoms, and
 the indexed exponentials come as a bang/question-mark pair over labels drawn
-from an ambient signature.  All nodes are frozen dataclasses, so formulas,
-contexts and sequents are hashable values that can be shared freely.
+from an ambient signature.  All nodes are immutable slotted classes, so
+formulas, contexts and sequents are hashable values that can be shared
+freely.  Equality, hashing and ``repr`` walk a formula with an explicit
+stack, so depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+from .records import Record, Value, setfield
 
 
-class _Binary:
+class _Formula(Value):
     __slots__ = ()
+    __match_args__ = ()
 
-    def part(self, k: int) -> "Formula":
+    def __eq__(self, other):
+        if not isinstance(other, _Formula):
+            return NotImplemented
+        return _same([self], [other])
+
+    def __hash__(self):
+        # pre-order (type, data) pairs determine the formula
+        out, pending = [], [self]
+        while pending:
+            f = pending.pop()
+            data, kids = _shape(f)
+            out += type(f), data
+            pending += kids
+        return hash(tuple(out))
+
+
+class _Named(_Formula):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
+
+
+class _Binary(_Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+
+    def part(self, k: int) -> Formula:
         """Immediate subformula ``k``: 0 is the left one, 1 the right one."""
         return self.right if k else self.left
 
 
-class _Unary:
-    __slots__ = ()
+class _Unary(_Formula):
+    __slots__ = __match_args__ = ("label", "body")
 
-    def part(self, k: int) -> "Formula":
+    def __init__(self, label: str, body: Formula):
+        setfield(self, "label", label)
+        setfield(self, "body", body)
+
+    def part(self, k: int) -> Formula:
         """The body, the only immediate subformula."""
         return self.body
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    name: str
+class Atom(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class NegAtom:
-    name: str
+class NegAtom(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Tensor(_Binary):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class One:
-    pass
+class One(_Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Plus(_Binary):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Zero:
-    pass
+class Zero(_Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Par(_Binary):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Bot:
-    pass
+class Bot(_Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class With(_Binary):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Top:
-    pass
+class Top(_Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Bang(_Unary):
-    label: str
-    body: "Formula"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Qm(_Unary):
-    label: str
-    body: "Formula"
+    __slots__ = ()
 
 
 Formula = (
@@ -167,16 +187,49 @@ def labels_of(f: Formula) -> frozenset[str]:
     return frozenset(labels)
 
 
+_NAMED = frozenset({Atom, NegAtom})
+_BINARY = frozenset({Tensor, Plus, Par, With})
+_UNARY = frozenset({Bang, Qm})
+
+
 def _shape(f: Formula) -> tuple[str | None, tuple[Formula, ...]]:
     """A node's own data (atom name or label) and its immediate subformulas."""
     t = type(f)
-    if t is Tensor or t is Plus or t is Par or t is With:
+    if t in _BINARY:
         return None, (f.left, f.right)
-    if t is Bang or t is Qm:
+    if t in _UNARY:
         return f.label, (f.body,)
-    if t is Atom or t is NegAtom:
+    if t in _NAMED:
         return f.name, ()
     return None, ()
+
+
+def _same(xs: list[Formula], ys: list[Formula]) -> bool:
+    """Whether two equally long lists of formulas are equal pairwise.
+
+    Walks both with explicit stacks, so depth is not bounded by the
+    recursion limit.  The dispatch is inline, because this is ``==`` on
+    formulas and sequents: a call per node, as :func:`_shape` would make,
+    tripled its cost.
+    """
+    while xs:
+        x, y = xs.pop(), ys.pop()
+        if x is not y:
+            t = type(x)
+            if t is not type(y):
+                return False
+            if t in _NAMED:
+                if x.name != y.name:
+                    return False
+            elif t in _BINARY:
+                xs += x.right, x.left
+                ys += y.right, y.left
+            elif t in _UNARY:
+                if x.label != y.label:
+                    return False
+                xs.append(x.body)
+                ys.append(y.body)
+    return True
 
 
 def intern_table(*roots: Formula) -> dict[int, int]:
@@ -185,7 +238,7 @@ def intern_table(*roots: Formula) -> dict[int, int]:
     This is hash-consing after Filliâtre & Conchon, *Type-Safe Modular
     Hash-Consing* (ML 2006), done once per search: the table maps ``id(obj)``
     of each sub-object to its equality class, so a multiset of formulas keys
-    as a sorted tuple of small ints instead of a deep dataclass hash.
+    as a sorted tuple of small ints instead of a hash that walks every formula.
 
     Invariant: the table is valid only for sub-objects of ``roots``, and only
     while the roots are alive (ids are reused after an object dies).  The
@@ -215,26 +268,36 @@ def context_key(table: dict[int, int], ctx: Context) -> tuple[int, ...]:
     return tuple(sorted(map(table.__getitem__, map(id, ctx))))
 
 
-@dataclass(frozen=True, slots=True)
-class Sequent:
+class Sequent(Record):
     """A one-sided sequent: a nonempty ordered context of formulas."""
 
-    context: Context
+    __slots__ = __match_args__ = ("context",)
 
-    def __post_init__(self):
-        if not isinstance(self.context, tuple):
-            object.__setattr__(self, "context", tuple(self.context))
-        if not self.context:
+    def __init__(self, context: Context):
+        context = tuple(context)
+        if not context:
             raise ValueError("a sequent needs at least one formula")
+        setfield(self, "context", context)
+
+    # one walk over the whole context: checking print -> parse compares goals
+    def __eq__(self, other):
+        if type(other) is not Sequent:
+            return NotImplemented
+        a, b = self.context, other.context
+        return len(a) == len(b) and _same([*a], [*b])
+
+    __hash__ = Record.__hash__
 
     def __len__(self) -> int:
         return len(self.context)
 
 
-@dataclass(frozen=True, slots=True)
-class FSequent:
+class FSequent(Record):
     """A context plus at most one formula under focus; unfocused sequents
     have none.  Both calculi lay out their premises over it."""
 
-    context: Context
-    focus: Formula | None = None
+    __slots__ = __match_args__ = ("context", "focus")
+
+    def __init__(self, context: Context, focus: Formula | None = None):
+        setfield(self, "context", context)
+        setfield(self, "focus", focus)

@@ -21,7 +21,6 @@ trace ends in halt", which the logical encoding relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -33,6 +32,7 @@ from .errors import (
     SelfLoop,
     UnknownState,
 )
+from .records import Record, setfield
 from .signatures import is_identifier
 
 HALT = "halt"
@@ -58,42 +58,62 @@ _GUARDS: dict[str, tuple[str, bool] | None] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Entry:
-    source: str
-    instruction: str
-    target: str
+class Entry(Record):
+    __slots__ = __match_args__ = ("source", "instruction", "target")
+
+    def __init__(self, source: str, instruction: str, target: str):
+        setfield(self, "source", source)
+        setfield(self, "instruction", instruction)
+        setfield(self, "target", target)
 
 
-@dataclass(frozen=True, slots=True)
-class Configuration:
-    state: str
-    a: int
-    b: int
+class Configuration(Record):
+    __slots__ = __match_args__ = ("state", "a", "b")
+
+    def __init__(self, state: str, a: int, b: int):
+        setfield(self, "state", state)
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+
+    # compared at every step of a run, so faster than Record's
+    def __eq__(self, other):
+        if type(other) is not Configuration:
+            return NotImplemented
+        return self.state == other.state and self.a == other.a and self.b == other.b
+
+    __hash__ = Record.__hash__
 
 
-@dataclass(frozen=True)
-class Machine:
-    states: frozenset[str]
-    halting: str
-    entries: tuple[Entry, ...]
+class Machine(Record):
+    __slots__ = __match_args__ = ("states", "halting", "entries")
+
+    def __init__(self, states: frozenset[str], halting: str, entries: tuple[Entry, ...]):
+        setfield(self, "states", states)
+        setfield(self, "halting", halting)
+        setfield(self, "entries", entries)
 
 
-@dataclass(frozen=True, slots=True)
-class Halted:
-    trace: tuple[str, ...]
+class Halted(Record):
+    __slots__ = __match_args__ = ("trace",)
+
+    def __init__(self, trace: tuple[str, ...]):
+        setfield(self, "trace", trace)
 
 
-@dataclass(frozen=True, slots=True)
-class Stuck:
-    config: Configuration
-    trace: tuple[str, ...]
+class _Unfinished(Record):
+    __slots__ = __match_args__ = ("config", "trace")
+
+    def __init__(self, config: Configuration, trace: tuple[str, ...]):
+        setfield(self, "config", config)
+        setfield(self, "trace", trace)
 
 
-@dataclass(frozen=True, slots=True)
-class OutOfFuel:
-    config: Configuration
-    trace: tuple[str, ...]
+class Stuck(_Unfinished):
+    __slots__ = ()
+
+
+class OutOfFuel(_Unfinished):
+    __slots__ = ()
 
 
 RunResult = Halted | Stuck | OutOfFuel

@@ -58,7 +58,6 @@ from __future__ import annotations
 from bisect import bisect
 from collections import Counter
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import CheckError
@@ -96,38 +95,49 @@ from .formulas import (
     context_key,
     intern_table,
 )
+from .records import Record, fill
 from .signatures import Signature, is_unbounded, leq
 from .unfocused import BOT_RULE, PAR, TOP_RULE, WITH, materialize, tensor_splits, validate_labels
 
 
-@dataclass(slots=True)
-class SearchStats:
-    nodes: int = 0
-    deepest_decides: int = 0
-    rounds: int = 0
-    splits: int = 0  # left tensor outcomes handed to a right premise
-    memo_hits: int = 0
-    filtered: int = 0  # decide candidates dropped because their focus cannot close
-    round_nodes: list[int] = field(default_factory=list)  # nodes of each deepening round
+class SearchStats(Record):
+    __slots__ = __match_args__ = (
+        "nodes", "deepest_decides", "rounds", "splits", "memo_hits", "filtered", "round_nodes",
+    )
+    # mutable, and so unhashable: the prover counts in place
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, nodes: int = 0, deepest_decides: int = 0, rounds: int = 0,
+        splits: int = 0,  # left tensor outcomes handed to a right premise
+        memo_hits: int = 0,
+        filtered: int = 0,  # decide candidates dropped because their focus cannot close
+        round_nodes: list[int] | None = None,  # nodes of each deepening round
+    ):
+        round_nodes = [] if round_nodes is None else round_nodes
+        fill(self, nodes, deepest_decides, rounds, splits, memo_hits, filtered, round_nodes)
 
 
-@dataclass(frozen=True, slots=True)
-class Proved:
-    proof: FProof
-    stats: SearchStats
+class Proved(Record):
+    __slots__ = __match_args__ = ("proof", "stats")
+
+    def __init__(self, proof: FProof, stats: SearchStats):
+        fill(self, proof, stats)
 
 
-@dataclass(frozen=True, slots=True)
-class Exhausted:
+class Exhausted(Record):
     """No proof within budget.
 
     ``complete`` means every branch failed outright, so no budget increase
     could help; otherwise the decide cap or the node cap stopped the search.
     """
 
-    stats: SearchStats
-    complete: bool
-    hit_node_cap: bool = False
+    __slots__ = __match_args__ = ("stats", "complete", "hit_node_cap")
+
+    def __init__(self, stats: SearchStats, complete: bool, hit_node_cap: bool = False):
+        fill(self, stats, complete, hit_node_cap)
 
 
 SearchResult = Proved | Exhausted

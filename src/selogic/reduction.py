@@ -28,7 +28,6 @@ checked certificate for the goal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AtomClash, CheckError, MalformedCertificate, TraceMismatch, UnknownState
@@ -58,6 +57,7 @@ from .minsky import (
     step,
     validate_machine,
 )
+from .records import Record, fill
 from .signatures import Signature, close_signature
 from .unfocused import PAR, materialize
 
@@ -112,19 +112,19 @@ def entry_element(e: Entry) -> Formula:
     raise AssertionError(f"unknown instruction {e.instruction!r}")
 
 
-@dataclass(frozen=True)
-class ReductionBundle:
+class ReductionBundle(Record):
     """Everything the translations need about one encoded machine."""
 
-    signature: Signature
-    machine: Machine
-    init: Configuration
-    table: tuple[Formula, ...]
-    goal: Context
-    entry_elements: tuple[int, ...]
-    drain_a: int | None
-    drain_b: int | None
-    finisher: int | None
+    __slots__ = __match_args__ = (
+        "signature", "machine", "init", "table", "goal", "entry_elements", "drain_a", "drain_b", "finisher",
+    )
+
+    def __init__(
+        self, signature: Signature, machine: Machine, init: Configuration, table: tuple[Formula, ...],
+        goal: Context, entry_elements: tuple[int, ...], drain_a: int | None, drain_b: int | None,
+        finisher: int | None,
+    ):
+        fill(self, signature, machine, init, table, goal, entry_elements, drain_a, drain_b, finisher)
 
 
 def encode_halting(m: Machine, init: Configuration) -> ReductionBundle:
@@ -193,8 +193,8 @@ class _Builder:
         self.spine.append((head, left))
         return materialize(fpremise_plans(self.sig, fseq, head)[-1], fseq)
 
-    # Both lookups compare at C speed, by type or by identity; a dataclass
-    # ``==`` would run in Python for every formula it passes.
+    # Both lookups compare at C speed, by type or by identity; formula ``==``
+    # would walk every formula it passes in Python.
 
     def _anchor(self, fseq: FSequent) -> int:
         """Position of the context's one negated atom."""

@@ -8,10 +8,10 @@ subset must be upward closed: anything above an unbounded label is unbounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import UnknownLabel, UpwardClosureViolation
+from .records import Record, fill
 
 _IDENT_HEAD = "abcdefghijklmnopqrstuvwxyz_"
 
@@ -29,8 +29,7 @@ def is_identifier(s: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """An immutable, already-closed signature.
 
     ``order`` holds every related pair, including the reflexive ones, so
@@ -38,9 +37,12 @@ class Signature:
     :func:`close_signature` rather than directly.
     """
 
-    labels: frozenset[str]
-    unbounded: frozenset[str]
-    order: frozenset[tuple[str, str]]
+    __slots__ = __match_args__ = ("labels", "unbounded", "order")
+
+    def __init__(
+        self, labels: frozenset[str], unbounded: frozenset[str], order: frozenset[tuple[str, str]]
+    ):
+        fill(self, labels, unbounded, order)
 
 
 def _closure(labels: frozenset[str], base: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:

@@ -42,7 +42,7 @@ from .formulas import (
     Formula,
     FSequent,
     NegAtom,
-    ONE,
+    One,
     Par,
     Plus,
     Qm,
@@ -54,6 +54,7 @@ from .formulas import (
     intern_table,
     labels_of,
 )
+from .records import ProofNode, setfield
 from .signatures import Signature, is_unbounded, leq
 
 INIT = "init"
@@ -70,8 +71,8 @@ BANG = "bang"
 WEAK = "weak"
 CONTR = "contr"
 
-@dataclass(frozen=True, slots=True)
-class UProof:
+@dataclass(slots=True, eq=False, repr=False, init=False)
+class UProof(ProofNode):
     """One node of an unfocused certificate.
 
     ``principal`` is the context position the rule acts on; ``init`` instead
@@ -80,10 +81,17 @@ class UProof:
     """
 
     rule: str
-    principal: int | None = None
-    pair: tuple[int, int] | None = None
-    split: tuple[int, ...] | None = None
-    premises: tuple["UProof", ...] = ()
+    principal: int | None
+    pair: tuple[int, int] | None
+    split: tuple[int, ...] | None
+    premises: tuple[UProof, ...]
+
+    def __init__(self, rule, principal=None, pair=None, split=None, premises=()):
+        setfield(self, "rule", rule)
+        setfield(self, "principal", principal)
+        setfield(self, "pair", pair)
+        setfield(self, "split", split)
+        setfield(self, "premises", premises)
 
 
 # A premise plan is a pair of segment tuples over the conclusion: the
@@ -208,7 +216,7 @@ def premise_plans(sig: Signature, seq: FSequent, node: UProof) -> list[Plan]:
                 _fail(Reason.CONTEXT_MISMATCH, "init needs an atom facing its negation")
             return []
         case "one":
-            if n != 1 or ctx[0] != ONE:
+            if n != 1 or type(ctx[0]) is not One:
                 _fail(Reason.CONTEXT_MISMATCH, "the unit rule closes exactly |- 1")
             return []
         case "top":
@@ -436,6 +444,12 @@ def search_unfocused(
     return None
 
 
+#: Rules on one principal formula of a type, in the order the oracle tries them.
+_LOGICAL_MOVES = (
+    (Top, (TOP_RULE,)), (Bot, (BOT_RULE,)), (Par, (PAR,)), (With, (WITH,)), (Plus, (PLUS1, PLUS2)), (Qm, (QM,)),
+)
+
+
 def _moves(
     sig: Signature, table: dict[int, int], ctx: Context, contr_left: int
 ) -> Iterator[tuple[UProof, int]]:
@@ -446,27 +460,13 @@ def _moves(
             a, b = ctx[i], ctx[j]
             if isinstance(a, Atom) and isinstance(b, NegAtom) and a.name == b.name:
                 yield UProof(INIT, pair=(i, j)), 0
-    if n == 1 and ctx[0] == ONE:
+    if n == 1 and type(ctx[0]) is One:
         yield UProof(ONE_RULE), 0
-    for p, f in enumerate(ctx):
-        if isinstance(f, Top):
-            yield UProof(TOP_RULE, principal=p), 0
-    for p, f in enumerate(ctx):
-        if isinstance(f, Bot):
-            yield UProof(BOT_RULE, principal=p), 0
-    for p, f in enumerate(ctx):
-        if isinstance(f, Par):
-            yield UProof(PAR, principal=p), 0
-    for p, f in enumerate(ctx):
-        if isinstance(f, With):
-            yield UProof(WITH, principal=p), 0
-    for p, f in enumerate(ctx):
-        if isinstance(f, Plus):
-            yield UProof(PLUS1, principal=p), 0
-            yield UProof(PLUS2, principal=p), 0
-    for p, f in enumerate(ctx):
-        if isinstance(f, Qm):
-            yield UProof(QM, principal=p), 0
+    for kind, rules in _LOGICAL_MOVES:
+        for p, f in enumerate(ctx):
+            if isinstance(f, kind):
+                for rule in rules:
+                    yield UProof(rule, principal=p), 0
     for p, f in enumerate(ctx):
         if isinstance(f, Bang) and all(
             isinstance(g, Qm) and leq(sig, f.label, g.label)

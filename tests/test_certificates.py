@@ -243,7 +243,7 @@ def test_rendered_lines_stay_inside_96_columns(name, corpus_proofs):
 
 
 def _same_tree(a, b) -> bool:
-    """Structural equality without recursing (``==`` and ``repr`` recurse)."""
+    """Structural equality through ``proof_nodes``, independent of the nodes' ``==``."""
     own = lambda node: (
         type(node),
         len(node.premises),
@@ -334,6 +334,34 @@ def test_twenty_four_hundred_step_roundtrip_under_the_default_recursion_limit(tm
     assert _same_tree(parse_focused_proof(print_focused_proof(fp)), fp)
     assert _same_tree(parse_unfocused_proof(print_unfocused_proof(up)), up)
     assert time.perf_counter() - start < 30.0
+
+
+def test_proof_nodes_compare_hash_and_print_at_2402_steps():
+    # ==, hash and repr walk proofs with a stack, as proof_nodes does
+    m, _ = load_corpus("drain_a")
+    init = Configuration("q0", 2400, 0)
+    bundle = encode_halting(m, init)
+    fp = proof_from_trace(bundle, run(m, init, 3000).trace)
+    up = defocus(fp, bundle.signature, FSequent(bundle.goal))
+    for proof, printer, parser in (
+        (fp, print_focused_proof, parse_focused_proof),
+        (up, print_unfocused_proof, parse_unfocused_proof),
+    ):
+        again = parser(printer(proof))
+        assert again is not proof and again == proof and not again != proof
+        assert hash(again) == hash(proof)
+        text = repr(again)
+        assert text == repr(proof)
+        assert text.count(f"{type(proof).__name__}(rule=") == sum(1 for _ in proof_nodes(proof))
+    assert fp != up
+
+
+def test_deep_proofs_differ_at_one_leaf():
+    proof = _focused_spine(3000)
+    text = print_focused_proof(proof)
+    assert parse_focused_proof(text) == proof
+    assert parse_focused_proof(text.replace("(f1)", "(finit 0)")) != proof
+    assert proof != _focused_spine(2999)
 
 
 def test_deep_text_parses_or_fails_with_a_parse_error():

@@ -58,10 +58,32 @@ def test_dual_flips_polarity(seed):
 
 
 def test_dual_of_deep_formulas_does_not_recurse():
-    # dataclass == still recurses at this depth, so compare printed text
     f = parse_formula("!u " * 3000 + "x")
     assert print_formula(dual(f)) == "?u " * 3000 + "~x"
     assert print_formula(dual(dual(f))) == print_formula(f)
+    assert dual(dual(f)) == f
+
+
+@pytest.mark.parametrize(
+    "text,changed,shown",
+    [
+        ("!u " * 3000 + "x", "!u " * 3000 + "y", ("Bang(label='u', body=", "Atom(name='x')")),
+        (
+            "(x * " * 3000 + "1" + ")" * 3000,
+            "(x * " * 3000 + "0" + ")" * 3000,
+            ("Tensor(left=Atom(name='x'), right=", "One()"),
+        ),
+    ],
+    ids=["bangs", "tensors"],
+)
+def test_deep_formulas_compare_hash_and_print_without_recursing(text, changed, shown):
+    f, g, h = parse_formula(text), parse_formula(text), parse_formula(changed)
+    assert f is not g and f == g and not f != g
+    assert f != h and not f == h
+    assert hash(f) == hash(g)
+    assert Sequent((f, h)) == Sequent((g, h)) and hash(Sequent((f, h))) == hash(Sequent((g, h)))
+    spine, leaf = shown
+    assert repr(f) == spine * 3000 + leaf + ")" * 3000
 
 
 def test_polarity_assignments():

@@ -143,12 +143,12 @@ def test_roundtrip_random_signatures(seed):
     ids=["bangs", "tensors", "withs", "question-marked pars"],
 )
 def test_deep_formulas_parse_and_print_back(text):
-    # compared as text: dataclass equality on formulas this deep recurses
     f = parse_formula(text)
     assert print_formula(f) == text
     printed = print_sequent(Sequent((f, f)))
     assert printed == f"{text}\n{text}\n"
     assert print_sequent(parse_sequent(printed)) == printed
+    assert parse_sequent(printed) == Sequent((f, f))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import combinations
 
@@ -9,7 +8,7 @@ from selogic.corpus import load_corpus
 from selogic.certificates import print_focused_proof
 from selogic.focusing import FSequent, check_focused, defocus
 from selogic.generators import random_context, random_signature
-from selogic.minsky import Halted, run
+from selogic.minsky import Configuration, Halted, run
 from selogic.formulas import Sequent
 from selogic.parsing import parse_formula, parse_sequent, print_sequent
 from selogic.prover import Exhausted, Proved, prove_focused
@@ -229,7 +228,7 @@ def test_memo_keeps_the_answer_and_never_adds_rounds(seed):
 
 def test_equal_formulas_as_distinct_objects_prove_alike():
     m, init = load_corpus("drain_a")
-    bundle = encode_halting(m, dataclasses.replace(init, a=2))
+    bundle = encode_halting(m, Configuration(init.state, 2, init.b))
     shared = bundle.goal
     copied = parse_sequent(print_sequent(Sequent(shared))).context
     assert copied == shared
@@ -259,7 +258,7 @@ def test_drain_a_at_three_stays_under_its_node_count():
 
 def test_drain_a_at_twenty_is_proved_within_the_default_node_cap():
     m, init = load_corpus("drain_a")
-    bundle = encode_halting(m, dataclasses.replace(init, a=20))
+    bundle = encode_halting(m, Configuration(init.state, 20, init.b))
     goal = FSequent(bundle.goal)
     out = prove_focused(bundle.signature, goal, max_decides=25)
     assert isinstance(out, Proved)
