@@ -30,7 +30,7 @@ from .errors import (
     SignatureError,
     TraceMismatch,
 )
-from .focusing import FSequent, check_focused, count_decides, defocus
+from .focusing import check_focused, count_decides, defocus
 from .formulas import Sequent
 from .generators import random_context, random_signature
 from .minsky import Halted, OutOfFuel, Stuck, load_machine, print_trace, run
@@ -100,12 +100,8 @@ def cmd_encode(args) -> int:
 def cmd_prove(args) -> int:
     m, init = _machine(args.machine)
     bundle = encode_halting(m, init)
-    result = prove_focused(
-        bundle.signature,
-        FSequent(bundle.goal),
-        max_decides=args.max_decides,
-        max_nodes=args.max_nodes,
-    )
+    sig, goal = bundle.signature, Sequent(bundle.goal)
+    result = prove_focused(sig, goal, max_decides=args.max_decides, max_nodes=args.max_nodes)
     if isinstance(result, Proved):
         print("outcome: proved")
         print(f"proof-decides: {count_decides(result.proof)}")
@@ -135,7 +131,7 @@ def cmd_check(args) -> int:
     try:
         if args.calculus == "focused":
             fproof = parse_focused_proof(text, args.proof)
-            check_focused(sig, FSequent(seq.context), fproof)
+            check_focused(sig, seq, fproof)
             size = proof_size(fproof)
         else:
             uproof = parse_unfocused_proof(text, args.proof)
@@ -156,7 +152,7 @@ def cmd_extract(args) -> int:
     m, init = _machine(args.machine)
     bundle = encode_halting(m, init)
     proof = parse_focused_proof(Path(args.proof).read_text(), args.proof)
-    check_focused(bundle.signature, FSequent(bundle.goal), proof)
+    check_focused(bundle.signature, Sequent(bundle.goal), proof)
     trace = trace_from_proof(bundle, proof)
     print("outcome: extracted")
     print(f"steps: {len(trace)}")
@@ -189,7 +185,7 @@ def cmd_synthesize(args) -> int:
         return code
     bundle = encode_halting(*loaded)
     proof = proof_from_trace(bundle, trace)
-    check_focused(bundle.signature, FSequent(bundle.goal), proof)
+    check_focused(bundle.signature, Sequent(bundle.goal), proof)
     print("outcome: synthesized")
     print(f"steps: {len(trace)}")
     print(f"proof-decides: {count_decides(proof)}")
@@ -204,11 +200,11 @@ def cmd_roundtrip(args) -> int:
     if loaded is None:
         return code
     bundle = encode_halting(*loaded)
-    goal = FSequent(bundle.goal)
+    goal = Sequent(bundle.goal)
     proof = proof_from_trace(bundle, trace)
     check_focused(bundle.signature, goal, proof)
     unfocused = defocus(proof, bundle.signature, goal)
-    check_unfocused(bundle.signature, Sequent(bundle.goal), unfocused)
+    check_unfocused(bundle.signature, goal, unfocused)
     back = trace_from_proof(bundle, proof)
     print("outcome: halted")
     print(f"steps: {len(trace)}")
@@ -224,12 +220,12 @@ def cmd_selftest(args) -> int:
     proved = 0
     for _ in range(args.count):
         sig = random_signature(rng)
-        ctx = random_context(rng, sig)
-        res = prove_focused(sig, FSequent(ctx), max_decides=6, max_nodes=40_000)
+        goal = Sequent(random_context(rng, sig))
+        res = prove_focused(sig, goal, max_decides=6, max_nodes=40_000)
         if isinstance(res, Proved):
-            check_focused(sig, FSequent(ctx), res.proof)
-            u = defocus(res.proof, sig, FSequent(ctx))
-            check_unfocused(sig, Sequent(ctx), u)
+            check_focused(sig, goal, res.proof)
+            u = defocus(res.proof, sig, goal)
+            check_unfocused(sig, goal, u)
             proved += 1
     machines = agreed = 0
     for name in corpus_names():
@@ -240,7 +236,7 @@ def cmd_selftest(args) -> int:
         machines += 1
         bundle = encode_halting(m, init)
         proof = proof_from_trace(bundle, result.trace)
-        check_focused(bundle.signature, FSequent(bundle.goal), proof)
+        check_focused(bundle.signature, Sequent(bundle.goal), proof)
         if trace_from_proof(bundle, proof) == result.trace:
             agreed += 1
     print(f"sequents: {args.count}")

@@ -1,10 +1,10 @@
 """The focused sequent calculus, its checker, and defocusing.
 
-A focused sequent carries an ordinary context plus at most one formula under
-focus.  Positive principals are only ever decomposed under focus; the
-negative connectives par/bot/with/top are decomposed eagerly in unfocused
-mode, and a context is *neutral* — ready for a decide — once only positives,
-negated atoms and question-marked formulas remain.
+A focused sequent is a :class:`~selogic.formulas.Sequent` whose focus may
+hold one formula.  Positive principals are only ever decomposed under
+focus; the negative connectives par/bot/with/top are decomposed eagerly in
+unfocused mode, and a context is *neutral* — ready for a decide — once only
+positives, negated atoms and question-marked formulas remain.
 
 Decide flavours:
 
@@ -36,23 +36,24 @@ from .formulas import (
     Bot,
     Context,
     Formula,
-    FSequent,
+    FSequent,  # noqa: F401  (exported)
     NegAtom,
     One,
     Par,
     Plus,
     Polarity,
     Qm,
+    Sequent,
     Tensor,
     Top,
     With,
     polarity,
 )
 from .records import ProofNode, setfield
-from .signatures import Signature, is_unbounded, leq
+from .signatures import Signature, check_goal, is_unbounded, leq
 from . import unfocused as uf
 from .unfocused import (
-    NO_FOCUS, Occurrence, Plan, UProof, _fail, _in_range, _principal, materialize, validate_labels,
+    NO_FOCUS, Occurrence, Plan, UProof, _fail, _in_range, _principal, materialize,
 )
 
 DECIDE = "decide"
@@ -125,7 +126,7 @@ def _bystanders_unbounded(sig: Signature, ctx: Context, indices, context_of: str
             )
 
 
-def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[Plan]:
+def fpremise_plans(sig: Signature, fseq: Sequent, node: FProof) -> list[Plan]:
     """Validate one focused rule application; raises :class:`CheckError`.
 
     Premises are laid out in the plan form of
@@ -237,16 +238,14 @@ def fpremise_plans(sig: Signature, fseq: FSequent, node: FProof) -> list[Plan]:
             _fail(Reason.CONTEXT_MISMATCH, f"unknown rule tag {rule!r}")
 
 
-def check_focused(sig: Signature, goal: FSequent, proof: FProof) -> None:
+def check_focused(sig: Signature, goal: Sequent, proof: FProof) -> None:
     """Accept or reject a focused certificate; raises :class:`CheckError`."""
-    validate_labels(sig, goal.context)
-    if goal.focus is not None:
-        validate_labels(sig, (goal.focus,))
+    check_goal(sig, goal, focused=True)
     for _ in checked_nodes(sig, goal, proof):
         pass
 
 
-def checked_nodes(sig: Signature, goal: FSequent, proof: FProof):
+def checked_nodes(sig: Signature, goal: Sequent, proof: FProof):
     """:func:`~selogic.unfocused.checked_nodes` over the focused rules."""
     return uf.checked_nodes(sig, fpremise_plans, goal, proof)
 
@@ -282,7 +281,7 @@ _ONE_POSITION = {LDECIDE: uf.QM, FPLUS1: uf.PLUS1, FPLUS2: uf.PLUS2}
 _FORMULA = attrgetter("formula")
 
 
-def defocus(proof: FProof, sig: Signature, goal: FSequent) -> UProof:
+def defocus(proof: FProof, sig: Signature, goal: Sequent) -> UProof:
     """Translate a checkable focused certificate into an unfocused one.
 
     The underlying unfocused sequent is the goal context with the focus, if
@@ -291,11 +290,10 @@ def defocus(proof: FProof, sig: Signature, goal: FSequent) -> UProof:
     weakening chains.  The focused certificate is checked on the way;
     a rejected one raises :class:`CheckError`.
     """
-    tags = FSequent(tuple(map(Occurrence, goal.context)))
-    slots = tags
-    if goal.focus is not None:
-        tags = FSequent(tags.context, Occurrence(goal.focus))
-        slots = FSequent(tags.context + (tags.focus,))
+    occurrences = tuple(map(Occurrence, goal.context))
+    focus = None if goal.focus is None else Occurrence(goal.focus)
+    tags = Sequent(occurrences, focus)
+    slots = Sequent(occurrences if focus is None else (*occurrences, focus))
     states = [(slots, tags)]
     order = []
     for node, fseq, plans, _ in checked_nodes(sig, goal, proof):
@@ -308,11 +306,11 @@ def defocus(proof: FProof, sig: Signature, goal: FSequent) -> UProof:
 def _defocus(
     sig: Signature,
     node: FProof,
-    fseq: FSequent,
+    fseq: Sequent,
     plans: list[Plan],
-    slots: FSequent,
-    tags: FSequent,
-) -> tuple[list[tuple], list[tuple[FSequent, FSequent]]]:
+    slots: Sequent,
+    tags: Sequent,
+) -> tuple[list[tuple], list[tuple[Sequent, Sequent]]]:
     """Translate one focused node: its unfocused heads, as the
     :func:`~selogic.unfocused.assemble` chain of ``(rule, principal, pair,
     split)`` tuples, and its premise states.
@@ -337,10 +335,10 @@ def _defocus(
             i = node.principal
             p = slots.context.index(tags.context[i])
             fresh = Occurrence(fseq.context[i].body)
-            plan = ((("run", 0, p + 1), ("focus",), ("run", p + 1, len(slots.context))), NO_FOCUS)
+            ctx = slots.context
             return [(uf.CONTR, p, None, None), (uf.QM, p + 1, None, None)], [(
-                materialize(plan, FSequent(slots.context, fresh)),
-                FSequent(tags.context, fresh),
+                Sequent(ctx[: p + 1] + (fresh,) + ctx[p + 1 :]),
+                Sequent(tags.context, fresh),
             )]
         case "finit" | "f1" | "fbang":
             keep = [tags.focus]
@@ -381,14 +379,14 @@ def _defocus(
 
 
 def _emit(
-    sig: Signature, head: tuple, slots: FSequent, plans: list[Plan], tags: FSequent
-) -> list[tuple[FSequent, FSequent]]:
+    sig: Signature, head: tuple, slots: Sequent, plans: list[Plan], tags: Sequent
+) -> list[tuple[Sequent, Sequent]]:
     """``head``'s premises, each with its slots and the focused premise's
     tags, which ``plans`` lay out.
 
     ``head`` is validated on the formulas the slots stand for.
     """
-    u = FSequent(tuple(map(_FORMULA, slots.context)))
+    u = Sequent(map(_FORMULA, slots.context))
     return [
         (materialize(plan, slots), materialize(fplan, tags))
         for plan, fplan in zip(uf.premise_plans(sig, u, UProof(*head)), plans)

@@ -5,7 +5,9 @@ the indexed exponentials come as a bang/question-mark pair over labels drawn
 from an ambient signature.  All nodes are immutable slotted classes, so
 formulas, contexts and sequents are hashable values that can be shared
 freely.  Equality, hashing and ``repr`` walk a formula with an explicit
-stack, so depth is not bounded by the recursion limit.
+stack, so depth is not bounded by the recursion limit.  One
+:class:`Sequent` class serves both calculi: a context plus a focus, which
+the unfocused calculus leaves empty.
 """
 
 from __future__ import annotations
@@ -269,35 +271,35 @@ def context_key(table: dict[int, int], ctx: Context) -> tuple[int, ...]:
 
 
 class Sequent(Record):
-    """A one-sided sequent: a nonempty ordered context of formulas."""
+    """A one-sided sequent: an ordered context and at most one formula under
+    focus.  Construction does no check, for a premise may be empty: ``bot``
+    on ``|- bot`` leaves ``|-``."""
 
-    __slots__ = __match_args__ = ("context",)
+    __slots__ = __match_args__ = ("context", "focus")
 
-    def __init__(self, context: Context):
-        context = tuple(context)
-        if not context:
-            raise ValueError("a sequent needs at least one formula")
-        setfield(self, "context", context)
+    def __init__(self, context: Context, focus: Formula | None = None):
+        setfield(self, "context", tuple(context))
+        setfield(self, "focus", focus)
 
-    # one walk over the whole context: checking print -> parse compares goals
+    # one walk over the whole sequent: checking print -> parse compares goals
     def __eq__(self, other):
         if type(other) is not Sequent:
             return NotImplemented
         a, b = self.context, other.context
-        return len(a) == len(b) and _same([*a], [*b])
+        return len(a) == len(b) and _same([*a, self.focus], [*b, other.focus])
 
     __hash__ = Record.__hash__
 
     def __len__(self) -> int:
         return len(self.context)
 
+    def unfocused(self) -> Context:
+        """The context of an unfocused goal, which needs a formula and no focus."""
+        if self.focus is not None:
+            raise ValueError("an unfocused sequent has no focus")
+        if not self.context:
+            raise ValueError("a sequent needs at least one formula")
+        return self.context
 
-class FSequent(Record):
-    """A context plus at most one formula under focus; unfocused sequents
-    have none.  Both calculi lay out their premises over it."""
 
-    __slots__ = __match_args__ = ("context", "focus")
-
-    def __init__(self, context: Context, focus: Formula | None = None):
-        setfield(self, "context", context)
-        setfield(self, "focus", focus)
+FSequent = Sequent  # the focused calculus's name for it

@@ -280,11 +280,12 @@ def parse_sequent(text: str, filename: str | None = None) -> Sequent:
         cur.fail(f"trailing input {tok.text!r}")
     if not formulas:
         cur.fail("a sequent needs at least one formula")
-    return Sequent(tuple(formulas))
+    return Sequent(formulas)
 
 
 def print_sequent(seq: Sequent) -> str:
-    return "\n".join(print_formula(f) for f in seq.context) + "\n"
+    """One formula per line; a sequent with a focus or no formula raises ``ValueError``."""
+    return "\n".join(print_formula(f) for f in seq.unfocused()) + "\n"
 
 
 # --- signature files --------------------------------------------------------

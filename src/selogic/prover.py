@@ -73,7 +73,6 @@ from .focusing import (
     LDECIDE,
     UDECIDE,
     FProof,
-    FSequent,
     fpremise_plans,
     is_neutral,
 )
@@ -88,6 +87,7 @@ from .formulas import (
     Par,
     Plus,
     Qm,
+    Sequent,
     Tensor,
     Top,
     With,
@@ -96,8 +96,8 @@ from .formulas import (
     intern_table,
 )
 from .records import Record, fill
-from .signatures import Signature, is_unbounded, leq
-from .unfocused import BOT_RULE, PAR, TOP_RULE, WITH, materialize, tensor_splits, validate_labels
+from .signatures import Signature, check_goal, is_unbounded, leq
+from .unfocused import BOT_RULE, PAR, TOP_RULE, WITH, materialize, tensor_splits
 
 
 class SearchStats(Record):
@@ -157,15 +157,13 @@ class _NodeCap(Exception):
 
 def prove_focused(
     sig: Signature,
-    goal: FSequent,
+    goal: Sequent,
     *,
     max_decides: int,
     max_nodes: int = 500_000,
     use_memo: bool = True,
 ) -> SearchResult:
-    validate_labels(sig, goal.context)
-    if goal.focus is not None:
-        validate_labels(sig, (goal.focus,))
+    check_goal(sig, goal, focused=True)
     stats = SearchStats()
     table = intern_table(*goal.context, *([] if goal.focus is None else [goal.focus]))
     searcher = _Searcher(sig, stats, max_nodes, use_memo, table)
@@ -209,11 +207,11 @@ class _Searcher:
         # search); a failure without a cutoff holds at every budget
         self.failed: dict | None = {} if use_memo else None
 
-    def _key(self, fseq: FSequent) -> tuple[tuple[int, ...], int]:
+    def _key(self, fseq: Sequent) -> tuple[tuple[int, ...], int]:
         focus = -1 if fseq.focus is None else self.table[id(fseq.focus)]
         return context_key(self.table, fseq.context), focus
 
-    def search(self, fseq: FSequent, budget: int, used: int) -> tuple[FProof | None, bool]:
+    def search(self, fseq: Sequent, budget: int, used: int) -> tuple[FProof | None, bool]:
         self._count()
         if used > self.stats.deepest_decides:
             self.stats.deepest_decides = used
@@ -238,7 +236,7 @@ class _Searcher:
         return proof, cutoff
 
     def _expand(
-        self, fseq: FSequent, head: FProof, budget: int, used: int
+        self, fseq: Sequent, head: FProof, budget: int, used: int
     ) -> tuple[FProof | None, bool]:
         """Search every premise of one rule application.
 
@@ -252,7 +250,7 @@ class _Searcher:
             subs.append(sub)
         return FProof(head.rule, head.principal, head.split, head.kept, tuple(subs)), False
 
-    def _unfocused(self, fseq: FSequent, budget: int, used: int) -> tuple[FProof | None, bool]:
+    def _unfocused(self, fseq: Sequent, budget: int, used: int) -> tuple[FProof | None, bool]:
         ctx = fseq.context
         if not is_neutral(ctx):
             # the leftmost invertible rule; top has no premise and closes
@@ -325,7 +323,7 @@ class _Searcher:
                 names[g.name] += 1
         return rule, tuple(names.items())
 
-    def _focused(self, fseq: FSequent, budget: int, used: int) -> tuple[FProof | None, bool]:
+    def _focused(self, fseq: Sequent, budget: int, used: int) -> tuple[FProof | None, bool]:
         ctx = fseq.context
         match fseq.focus:
             case Atom(name=name):
@@ -364,7 +362,7 @@ class _Searcher:
                     tried.add(key)
                     self.stats.splits += 1
                     rest = tuple(g for i, g in enumerate(ctx) if i not in taken)
-                    right, cutoff = self.search(FSequent(rest, second), budget, used)
+                    right, cutoff = self.search(Sequent(rest, second), budget, used)
                     if right is not None:
                         split = tuple(sorted(taken))
                         return FProof(FTENSOR, None, split, kept, (make_left(), right)), False
@@ -435,7 +433,7 @@ class _Searcher:
                 classes = [self.table[id(ctx[i])] for i in cands]
                 for taken in tensor_splits(cands, classes):
                     inner = sorted(promoted + list(taken))
-                    premise = FSequent(tuple(ctx[i] for i in inner) + (body,))
+                    premise = Sequent(tuple(ctx[i] for i in inner) + (body,))
                     proof, cutoff = self.search(premise, budget, used)
                     if proof is None:
                         cut[0] = cut[0] or cutoff
@@ -446,7 +444,7 @@ class _Searcher:
                 classes = [self.table[id(ctx[i])] for i in avail]
                 for taken in tensor_splits(avail, classes):
                     sub = tuple(ctx[i] for i in sorted(kept + taken))
-                    proof, cutoff = self.search(FSequent(sub + (focus,)), budget, used)
+                    proof, cutoff = self.search(Sequent(sub + (focus,)), budget, used)
                     if proof is None:
                         cut[0] = cut[0] or cutoff
                         continue
@@ -457,7 +455,7 @@ class _Searcher:
         if self.stats.nodes > self.max_nodes:
             raise _NodeCap
 
-    def _valid(self, fseq: FSequent, head: FProof) -> bool:
+    def _valid(self, fseq: Sequent, head: FProof) -> bool:
         try:
             fpremise_plans(self.sig, fseq, head)
         except CheckError:

@@ -41,11 +41,10 @@ from .focusing import (
     LDECIDE,
     UDECIDE,
     FProof,
-    FSequent,
     checked_nodes,
     fpremise_plans,
 )
-from .formulas import ONE, Atom, Bang, Context, Formula, NegAtom, Par, Qm, Tensor
+from .formulas import ONE, Atom, Bang, Context, Formula, NegAtom, Par, Qm, Sequent, Tensor
 from .minsky import (
     DECRA,
     HALT,
@@ -188,7 +187,7 @@ class _Builder:
         # (node, closed left premises) from the root down
         self.spine: list[tuple[FProof, tuple[FProof, ...]]] = []
 
-    def _push(self, fseq: FSequent, head: FProof, *left: FProof) -> FSequent:
+    def _push(self, fseq: Sequent, head: FProof, *left: FProof) -> Sequent:
         """Put ``head`` on the spine; the sequent of its last premise."""
         self.spine.append((head, left))
         return materialize(fpremise_plans(self.sig, fseq, head)[-1], fseq)
@@ -196,11 +195,11 @@ class _Builder:
     # Both lookups compare at C speed, by type or by identity; formula ``==``
     # would walk every formula it passes in Python.
 
-    def _anchor(self, fseq: FSequent) -> int:
+    def _anchor(self, fseq: Sequent) -> int:
         """Position of the context's one negated atom."""
         return [*map(type, fseq.context)].index(NegAtom, self.k)
 
-    def _token(self, fseq: FSequent, tok: Formula) -> int:
+    def _token(self, fseq: Sequent, tok: Formula) -> int:
         """Position of the first register token ``tok``, or -1 when none is left."""
         try:
             return [*map(id, fseq.context)].index(id(tok), self.k)
@@ -208,7 +207,7 @@ class _Builder:
             return -1
 
     def certificate(self, fired: Sequence[Entry]) -> FProof:
-        fseq = FSequent(self.bundle.goal)
+        fseq = Sequent(self.bundle.goal)
         for e in fired:
             fseq = self._fire(fseq, e)
         # burn leftover register tokens after the halt element fired
@@ -226,7 +225,7 @@ class _Builder:
             proof = FProof(head.rule, head.principal, head.split, head.kept, (*left, proof))
         return proof
 
-    def _fire(self, fseq: FSequent, e: Entry) -> FSequent:
+    def _fire(self, fseq: Sequent, e: Entry) -> Sequent:
         fseq = self._push(fseq, FProof(UDECIDE, principal=self.element_at[e]))
         if e.instruction in ("decra", "decrb"):
             return self._spend(fseq, self._token(fseq, A_TOKEN if e.instruction == DECRA else B_TOKEN))
@@ -242,7 +241,7 @@ class _Builder:
                 return self._push(rf, FProof(BLUR))
         raise AssertionError(f"unknown instruction {e.instruction!r}")
 
-    def _spend(self, fseq: FSequent, t_pos: int) -> FSequent:
+    def _spend(self, fseq: Sequent, t_pos: int) -> Sequent:
         """Shared shape of decrements and drains: a nested tensor consumes
         the register token at ``t_pos`` plus the anchor atom's negation, and
         the right branch resumes with a fresh anchor negation appended."""
@@ -308,7 +307,7 @@ def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
     last = -1
     out: list[str] = []
     try:
-        walk = checked_nodes(sig, FSequent(bundle.goal), proof)
+        walk = checked_nodes(sig, Sequent(bundle.goal), proof)
         for i, (node, fseq, _, parent) in enumerate(walk):
             here = nearest[parent] if parent >= 0 else -1
             if node.rule == UDECIDE:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import UnknownLabel, UpwardClosureViolation
+from .formulas import Sequent, labels_of
 from .records import Record, fill
 
 _IDENT_HEAD = "abcdefghijklmnopqrstuvwxyz_"
@@ -109,3 +110,13 @@ def is_unbounded(sig: Signature, u: str) -> bool:
     if u not in sig.labels:
         raise UnknownLabel(f"label {u!r} is not declared")
     return u in sig.unbounded
+
+
+def check_goal(sig: Signature, goal: Sequent, *, focused: bool) -> None:
+    """Raise :class:`UnknownLabel` for a label ``sig`` does not declare, and
+    ``ValueError`` for an unfocused goal that ``goal.unfocused()`` rejects."""
+    ctx = goal.context if focused else goal.unfocused()
+    for f in ctx if goal.focus is None else (*ctx, goal.focus):
+        for u in labels_of(f):
+            if u not in sig.labels:
+                raise UnknownLabel(f"label {u!r} is not declared in the signature")

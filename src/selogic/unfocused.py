@@ -29,18 +29,17 @@ Rule tags::
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .errors import CheckError, Reason, UnknownLabel
+from .errors import CheckError, Reason
 from .formulas import (
     Atom,
     Bang,
     Bot,
     Context,
     Formula,
-    FSequent,
     NegAtom,
     One,
     Par,
@@ -52,10 +51,9 @@ from .formulas import (
     With,
     context_key,
     intern_table,
-    labels_of,
 )
 from .records import ProofNode, setfield
-from .signatures import Signature, is_unbounded, leq
+from .signatures import Signature, check_goal, is_unbounded, leq
 
 INIT = "init"
 TENSOR = "tensor"
@@ -106,7 +104,7 @@ Plan = tuple[tuple[tuple, ...], tuple[tuple, ...]]
 NO_FOCUS = ()
 
 
-def materialize(plan: Plan, seq: FSequent) -> FSequent:
+def materialize(plan: Plan, seq: Sequent) -> Sequent:
     """The premise that ``plan`` lays out over the conclusion ``seq``.
 
     Runs and picks copy at C speed, and each new formula is one step, so a
@@ -137,7 +135,7 @@ def materialize(plan: Plan, seq: FSequent) -> FSequent:
                 joined.append(focus.part(seg[1]))
         out.append(joined)
     new_ctx, new_focus = out
-    return FSequent(tuple(new_ctx), new_focus[0] if new_focus else None)
+    return Sequent(new_ctx, new_focus[0] if new_focus else None)
 
 
 class Occurrence:
@@ -193,7 +191,7 @@ def _in_range(positions, n: int) -> bool:
     return not positions or (0 <= min(positions) and max(positions) < n)
 
 
-def premise_plans(sig: Signature, seq: FSequent, node: UProof) -> list[Plan]:
+def premise_plans(sig: Signature, seq: Sequent, node: UProof) -> list[Plan]:
     """Validate one rule application and lay out its premises.
 
     Raises :class:`CheckError` (with an empty path; :func:`checked_nodes`
@@ -296,21 +294,14 @@ def premise_plans(sig: Signature, seq: FSequent, node: UProof) -> list[Plan]:
             _fail(Reason.CONTEXT_MISMATCH, f"unknown rule tag {rule!r}")
 
 
-def validate_labels(sig: Signature, ctx: Context) -> None:
-    for f in ctx:
-        for u in labels_of(f):
-            if u not in sig.labels:
-                raise UnknownLabel(f"label {u!r} is not declared in the signature")
-
-
 def check_unfocused(sig: Signature, goal: Sequent, proof: UProof) -> None:
     """Accept or reject a certificate; raises :class:`CheckError` to reject."""
-    validate_labels(sig, goal.context)
-    for _ in checked_nodes(sig, premise_plans, FSequent(goal.context), proof):
+    check_goal(sig, goal, focused=False)
+    for _ in checked_nodes(sig, premise_plans, goal, proof):
         pass
 
 
-def checked_nodes(sig: Signature, plans_of, goal: FSequent, proof):
+def checked_nodes(sig: Signature, plans_of, goal: Sequent, proof):
     """Check a certificate node by node, yielding ``(node, sequent, plans, parent)``.
 
     The one walk behind both checkers, defocusing and trace extraction:
@@ -433,12 +424,12 @@ def search_unfocused(
     copies them, so each formula the search meets is a sub-object of the
     goal, and the goal stays alive for the whole call.
     """
-    validate_labels(sig, goal.context)
+    check_goal(sig, goal, focused=False)
     table = intern_table(*goal.context)
     fails: dict = {}
     for cap in range(max_contractions + 1):
         for proof, _rules, _contr in _derivations(
-            sig, table, FSequent(goal.context), max_rules, cap, fails, {}, 0, [_FAR]
+            sig, table, goal, max_rules, cap, fails, {}, 0, [_FAR]
         ):
             return proof
     return None
@@ -527,7 +518,7 @@ _FAR = 10**9  # deeper than any path can reach
 def _derivations(
     sig: Signature,
     table: dict[int, int],
-    seq: FSequent,
+    seq: Sequent,
     rules_left: int,
     contr_left: int,
     fails: dict,
@@ -574,6 +565,7 @@ def _derivations(
             if dedup in seen:
                 continue
             seen.add(dedup)
+            own = head.rule, head.principal, head.pair, head.split
             if not prems:
                 yielded = True
                 yield head, 1, ccost
@@ -583,7 +575,7 @@ def _derivations(
                     fails, below, depth + 1, mylow,
                 ):
                     yielded = True
-                    yield replace(head, premises=(sub,)), 1 + r, ccost + c
+                    yield UProof(*own, (sub,)), 1 + r, ccost + c
             else:
                 # the right premise has the most budget when the left is
                 # smallest; if even that fails, skip the whole product
@@ -610,7 +602,7 @@ def _derivations(
                         mylow,
                     ):
                         yielded = True
-                        yield replace(head, premises=(s1, s2)), 1 + r1 + r2, ccost + c1 + c2
+                        yield UProof(*own, (s1, s2)), 1 + r1 + r2, ccost + c1 + c2
         if not yielded and mylow[0] >= depth:
             _record_fail(fails, key, rules_left, contr_left)
     finally:

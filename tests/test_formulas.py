@@ -25,7 +25,8 @@ from selogic.formulas import (
     polarity,
 )
 from selogic.generators import random_formula, random_signature
-from selogic.parsing import parse_formula, print_formula
+from selogic.parsing import parse_formula, print_formula, print_sequent
+from selogic.unfocused import ONE_RULE, UProof, check_unfocused, search_unfocused
 
 import pytest
 
@@ -136,9 +137,16 @@ def test_intern_table_covers_subformulas_only():
         context_key(table, (Atom("x"),))
 
 
-def test_sequent_requires_a_formula():
+def test_sequent_requires_a_formula(sig):
+    # a focused premise may be empty, so the unfocused calculus checks this
+    # where a goal comes in, not at construction
+    empty = Sequent(())
     with pytest.raises(ValueError):
-        Sequent(())
+        check_unfocused(sig, empty, UProof(ONE_RULE))
+    with pytest.raises(ValueError):
+        search_unfocused(sig, empty, max_rules=4, max_contractions=0)
+    with pytest.raises(ValueError):
+        print_sequent(empty)
 
 
 def test_sequent_coerces_to_tuple():

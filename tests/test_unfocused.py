@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from selogic.corpus import load_corpus
 from selogic.errors import CheckError, Reason, UnknownLabel
 from selogic.focusing import FSequent, defocus
-from selogic.formulas import Sequent
+from selogic.formulas import ZERO, Atom, NegAtom, Sequent
 from selogic.generators import random_context, random_signature
 from selogic.minsky import Configuration, run
-from selogic.parsing import parse_formula, parse_sequent
+from selogic.parsing import parse_formula, parse_sequent, print_sequent
 from selogic.reduction import encode_halting, proof_from_trace
 from selogic.unfocused import (
     CONTR,
@@ -176,6 +176,18 @@ def test_labels_must_be_declared(sig):
     goal = parse_sequent("|- ?zz x, 1")
     with pytest.raises(UnknownLabel):
         check_unfocused(sig, goal, UProof(WEAK, principal=0, premises=(UProof("one"),)))
+
+
+def test_unfocused_goals_have_no_focus(sig):
+    # dropping the focus would accept init on the unprovable |- x, ~x ; 0;
+    # test_sequent_requires_a_formula checks the empty goal the same way
+    goal = Sequent((Atom("x"), NegAtom("x")), ZERO)
+    with pytest.raises(ValueError):
+        check_unfocused(sig, goal, INIT_01)
+    with pytest.raises(ValueError):
+        search_unfocused(sig, goal, max_rules=4, max_contractions=0)
+    with pytest.raises(ValueError):
+        print_sequent(goal)
 
 
 def test_proof_statistics(sig):
