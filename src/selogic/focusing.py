@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import filterfalse
-from operator import attrgetter, is_
 
 from .errors import Reason
 from .formulas import (
@@ -94,14 +93,15 @@ class FProof(ProofNode):
         setfield(self, "premises", premises)
 
 
-#: The negative connectives other than negated atoms and ``?``: the ones the
-#: unfocused phase decomposes.  Every other formula type is neutral.
-ASYNC = frozenset({Par, Bot, With, Top})
+#: The negative connectives other than negated atoms and ``?``, which the
+#: unfocused phase decomposes, each with the rule that does it.  Every other
+#: formula type is neutral.
+ASYNC = {Par: uf.PAR, Bot: uf.BOT_RULE, With: uf.WITH, Top: uf.TOP_RULE}
 
 
 def is_neutral(ctx: Context) -> bool:
     """No negative non-atom, non-question-marked formula remains."""
-    return ASYNC.isdisjoint(map(type, ctx))
+    return ASYNC.keys().isdisjoint(map(type, ctx))
 
 
 def _require_no_focus(focus: Formula | None, rule: str) -> None:
@@ -256,29 +256,38 @@ def count_decides(proof: FProof) -> int:
 
 # --- defocusing -------------------------------------------------------------
 #
-# The translation tracks where each formula of the current focused sequent
-# sits in the unfocused context being proved.  Every formula occurrence is
-# an :class:`~selogic.unfocused.Occurrence`, which carries its formula:
-# ``tags`` holds them in the focused sequent's layout and ``slots`` in the
-# unfocused context's order, so the unfocused context is read off ``slots``.
-# The focused node's plans move ``tags`` and the emitted unfocused rules'
-# plans move ``slots``, through the same materializer as the formulas, so
-# both name the same occurrences with no renumbering.  udecide is the one
-# rule that makes a new occurrence, because its focus copies a formula that
-# stays.
+# Every formula occurrence is an :class:`~selogic.unfocused.Occurrence`,
+# which carries its formula.  The checking walk runs over the occurrences
+# themselves: its goal is the focused goal's occurrences and
+# :func:`_occurrence_plans` validates each node on the formulas they carry,
+# so the walk hands over each node's ``tags``, its focused sequent as
+# occurrences, and rejects exactly what :func:`check_focused` rejects.
+# ``slots`` holds the same occurrences, context plus focus, in the order of
+# the unfocused context being proved, which is read off them.  The emitted
+# unfocused rules' plans move ``slots`` through the same materializer, so
+# both name the same occurrences with no renumbering.  An occurrence makes
+# each of its parts once (its parts cache), so the parts the walk takes and
+# the parts ``slots`` take are the same objects.  udecide is the one rule
+# whose focus copies a formula that stays, to be decided again: at each
+# udecide :func:`_defocus` renews the body's cache entry, which the walk
+# then reads when it lays out the premise.
 #
-# One pass of the checking walk visits the focused nodes in pre-order with
-# their sequents and plans.  At each node :func:`_defocus` emits a chain of
-# unfocused rule heads, the last of which takes the translated premises,
-# and the (slots, tags) state of each premise; those states sit on a stack
-# that the walk pops in the same order.  The unfocused tree is then
-# assembled bottom-up in reverse pre-order, so nothing recurses.
+# At each node :func:`_defocus` emits a chain of unfocused rule heads, the
+# last of which takes the translated premises, and the slots of each
+# premise; those sit on a stack that the walk pops in the same order.  The
+# unfocused tree is then assembled bottom-up in reverse pre-order, so
+# nothing recurses.
 
 #: The unfocused rule of a focused node that acts on one position, where
 #: the two differ; par, bot, with and top keep their names.
 _ONE_POSITION = {LDECIDE: uf.QM, FPLUS1: uf.PLUS1, FPLUS2: uf.PLUS2}
 
-_FORMULA = attrgetter("formula")
+
+def _occurrence_plans(sig: Signature, tags: Sequent, node: FProof) -> list[Plan]:
+    """:func:`fpremise_plans` on the formulas that ``tags`` carry."""
+    focus = tags.focus
+    fseq = Sequent([o.formula for o in tags.context], None if focus is None else focus.formula)
+    return fpremise_plans(sig, fseq, node)
 
 
 def defocus(proof: FProof, sig: Signature, goal: Sequent) -> UProof:
@@ -287,59 +296,54 @@ def defocus(proof: FProof, sig: Signature, goal: Sequent) -> UProof:
     The underlying unfocused sequent is the goal context with the focus, if
     any, appended.  Decides vanish or become contraction/dereliction pairs,
     and the weakenings folded into finit/f1/fbang/ftensor become explicit
-    weakening chains.  The focused certificate is checked on the way;
-    a rejected one raises :class:`CheckError`.
+    weakening chains.  The goal and the focused certificate are checked on
+    the way, as :func:`check_focused` checks them; a rejected one raises
+    the same error.
     """
+    check_goal(sig, goal, focused=True)
     occurrences = tuple(map(Occurrence, goal.context))
     focus = None if goal.focus is None else Occurrence(goal.focus)
-    tags = Sequent(occurrences, focus)
-    slots = Sequent(occurrences if focus is None else (*occurrences, focus))
-    states = [(slots, tags)]
+    pending = [Sequent(occurrences if focus is None else (*occurrences, focus))]
     order = []
-    for node, fseq, plans, _ in checked_nodes(sig, goal, proof):
-        chain, premise_states = _defocus(sig, node, fseq, plans, *states.pop())
-        order.append((chain, len(premise_states)))
-        states.extend(reversed(premise_states))
+    walk = uf.checked_nodes(sig, _occurrence_plans, Sequent(occurrences, focus), proof)
+    for node, tags, _, _ in walk:
+        chain, premises = _defocus(sig, node, tags, pending.pop())
+        order.append((chain, len(premises)))
+        pending.extend(reversed(premises))
     return uf.assemble(order)
 
 
 def _defocus(
-    sig: Signature,
-    node: FProof,
-    fseq: Sequent,
-    plans: list[Plan],
-    slots: Sequent,
-    tags: Sequent,
-) -> tuple[list[tuple], list[tuple[Sequent, Sequent]]]:
+    sig: Signature, node: FProof, tags: Sequent, slots: Sequent
+) -> tuple[list[tuple], list[Sequent]]:
     """Translate one focused node: its unfocused heads, as the
     :func:`~selogic.unfocused.assemble` chain of ``(rule, principal, pair,
-    split)`` tuples, and its premise states.
+    split)`` tuples, and the slots of its premises.
 
     An empty chain passes the single premise's translation through.
     """
-    formula_of = dict(zip(tags.context, fseq.context))
-    if tags.focus is not None:
-        formula_of[tags.focus] = fseq.focus
-    assert len(formula_of) == len(slots.context) and all(
-        map(is_, map(_FORMULA, slots.context), map(formula_of.__getitem__, slots.context))
-    )
+    # the slots hold the focused sequent's occurrences, each exactly once:
+    # n distinct slots, each among the n tags (context plus focus)
+    unmatched = set(slots.context)
+    n = len(unmatched)
+    unmatched.difference_update(tags.context)
+    unmatched.discard(tags.focus)
+    assert not unmatched and n == len(slots.context) == len(tags) + (tags.focus is not None)
 
     rule = node.rule
     match rule:
         case "decide" | "blur":
-            return [], [(slots, materialize(plans[0], tags))]
+            return [], [slots]
         case "udecide":
             # contraction then dereliction put the body right after the
             # formula; a fresh occurrence, since the formula stays to be
-            # decided again
-            i = node.principal
-            p = slots.context.index(tags.context[i])
-            fresh = Occurrence(fseq.context[i].body)
+            # decided again, and the walk's premise takes the same one
+            qm = tags.context[node.principal]
+            fresh = qm.parts[0] = Occurrence(qm.formula.body)
+            p = slots.context.index(qm)
             ctx = slots.context
-            return [(uf.CONTR, p, None, None), (uf.QM, p + 1, None, None)], [(
-                Sequent(ctx[: p + 1] + (fresh,) + ctx[p + 1 :]),
-                Sequent(tags.context, fresh),
-            )]
+            chain = [(uf.CONTR, p, None, None), (uf.QM, p + 1, None, None)]
+            return chain, [Sequent(ctx[: p + 1] + (fresh,) + ctx[p + 1 :])]
         case "finit" | "f1" | "fbang":
             keep = [tags.focus]
             if rule == FINIT:
@@ -358,7 +362,7 @@ def _defocus(
                 return chain + [(uf.INIT, None, tuple(map(kept.index, at)), None)], []
             slots = materialize(((("pick", tuple(kept)),), NO_FOCUS), slots)
             head = (uf.BANG, kept.index(at[0]), None, None)
-            return chain + [head], _emit(sig, head, slots, plans, tags)
+            return chain + [head], _emit(sig, head, slots)
         case "ftensor":
             # one explicit contraction per copied formula, highest position
             # first; each original stays left of its copy and goes left
@@ -371,23 +375,15 @@ def _defocus(
             left = map(tags.context.__getitem__, (*node.kept, *node.split))
             split = tuple(sorted(map(slots.context.index, left)))
             chain.append((uf.TENSOR, slots.context.index(tags.focus), None, split))
-            return chain, _emit(sig, chain[-1], slots, plans, tags)
+            return chain, _emit(sig, chain[-1], slots)
         case _:
             at = tags.focus if rule in (FPLUS1, FPLUS2) else tags.context[node.principal]
             head = (_ONE_POSITION.get(rule, rule), slots.context.index(at), None, None)
-            return [head], _emit(sig, head, slots, plans, tags)
+            return [head], _emit(sig, head, slots)
 
 
-def _emit(
-    sig: Signature, head: tuple, slots: Sequent, plans: list[Plan], tags: Sequent
-) -> list[tuple[Sequent, Sequent]]:
-    """``head``'s premises, each with its slots and the focused premise's
-    tags, which ``plans`` lay out.
-
-    ``head`` is validated on the formulas the slots stand for.
-    """
-    u = Sequent(map(_FORMULA, slots.context))
-    return [
-        (materialize(plan, slots), materialize(fplan, tags))
-        for plan, fplan in zip(uf.premise_plans(sig, u, UProof(*head)), plans)
-    ]
+def _emit(sig: Signature, head: tuple, slots: Sequent) -> list[Sequent]:
+    """The slots of ``head``'s premises; ``head`` is validated on the
+    formulas the slots carry."""
+    u = Sequent([o.formula for o in slots.context])
+    return [materialize(plan, slots) for plan in uf.premise_plans(sig, u, UProof(*head))]

@@ -62,6 +62,7 @@ from functools import partial
 
 from .errors import CheckError
 from .focusing import (
+    ASYNC,
     BLUR,
     DECIDE,
     FBANG,
@@ -79,25 +80,21 @@ from .focusing import (
 from .formulas import (
     Atom,
     Bang,
-    Bot,
     Context,
     Formula,
     NegAtom,
     One,
-    Par,
     Plus,
     Qm,
     Sequent,
     Tensor,
-    Top,
-    With,
     Zero,
     context_key,
     intern_table,
 )
 from .records import Record, fill
 from .signatures import Signature, check_goal, is_unbounded, leq
-from .unfocused import BOT_RULE, PAR, TOP_RULE, WITH, materialize, tensor_splits
+from .unfocused import materialize, tensor_splits
 
 
 class SearchStats(Record):
@@ -142,9 +139,6 @@ class Exhausted(Record):
 
 SearchResult = Proved | Exhausted
 
-
-#: The rule of each connective the invertible phase takes apart.
-_INVERTIBLE = {Par: PAR, Bot: BOT_RULE, With: WITH, Top: TOP_RULE}
 
 #: Heads that take no position, shared by every search.
 _BLUR_HEAD = FProof(BLUR)
@@ -240,10 +234,15 @@ class _Searcher:
     ) -> tuple[FProof | None, bool]:
         """Search every premise of one rule application.
 
-        A premise is built only once the ones before it are proved.
+        A head that does not apply fails outright, with no cutoff.  A
+        premise is built only once the ones before it are proved.
         """
+        try:
+            plans = fpremise_plans(self.sig, fseq, head)
+        except CheckError:
+            return None, False
         subs = []
-        for plan in fpremise_plans(self.sig, fseq, head):
+        for plan in plans:
             sub, cutoff = self.search(materialize(plan, fseq), budget, used)
             if sub is None:
                 return None, cutoff
@@ -254,8 +253,8 @@ class _Searcher:
         ctx = fseq.context
         if not is_neutral(ctx):
             # the leftmost invertible rule; top has no premise and closes
-            i = next(i for i, f in enumerate(ctx) if type(f) in _INVERTIBLE)
-            head = FProof(_INVERTIBLE[type(ctx[i])], principal=i)
+            i = next(i for i, f in enumerate(ctx) if type(f) in ASYNC)
+            head = FProof(ASYNC[type(ctx[i])], principal=i)
             return self._expand(fseq, head, budget, used)
 
         # neutral: decide, spending one unit of budget
@@ -329,13 +328,12 @@ class _Searcher:
             case Atom(name=name):
                 for i, g in enumerate(ctx):
                     if isinstance(g, NegAtom) and g.name == name:
-                        head = FProof(FINIT, principal=i)
-                        if self._valid(fseq, head):
-                            return head, False
+                        proof, _ = self._expand(fseq, FProof(FINIT, principal=i), budget, used)
+                        if proof is not None:
+                            return proof, False
                 return None, False
             case One():
-                head = FProof(FONE)
-                return (head, False) if self._valid(fseq, head) else (None, False)
+                return self._expand(fseq, FProof(FONE), budget, used)
             case Zero():
                 return None, False
             case Plus():
@@ -374,10 +372,7 @@ class _Searcher:
                     for i, g in enumerate(ctx)
                     if isinstance(g, Qm) and leq(self.sig, label, g.label)
                 )
-                head = FProof(FBANG, kept=kept)
-                if not self._valid(fseq, head):
-                    return None, False
-                return self._expand(fseq, head, budget, used)
+                return self._expand(fseq, FProof(FBANG, kept=kept), budget, used)
             case _:
                 # negative focus: release it and resume the invertible phase
                 return self._expand(fseq, _BLUR_HEAD, budget, used)
@@ -454,13 +449,6 @@ class _Searcher:
         self.stats.nodes += 1
         if self.stats.nodes > self.max_nodes:
             raise _NodeCap
-
-    def _valid(self, fseq: Sequent, head: FProof) -> bool:
-        try:
-            fpremise_plans(self.sig, fseq, head)
-        except CheckError:
-            return False
-        return True
 
 
 # The nodes of a returned synchronous outcome, whose context is the

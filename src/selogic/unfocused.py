@@ -142,9 +142,12 @@ class Occurrence:
     """A stand-in for one occurrence of ``formula``, so plans can move positions.
 
     Plans move occurrences as they move formulas.  Each part of an
-    occurrence is made once, over the formula's part, so two plans that
-    take the same occurrence apart agree on its parts.  Occurrences compare
-    by identity, which keeps ``tuple.index`` over them at C speed.
+    occurrence is made once, over the formula's part, and kept in
+    ``parts``, so two plans that take the same occurrence apart agree on
+    its parts.  A formula that is taken apart and also stays, as under
+    udecide, needs a new part each time: defocusing renews the ``parts``
+    entry before the premise is laid out.  Occurrences compare by
+    identity, which keeps ``tuple.index`` over them at C speed.
     """
 
     __slots__ = ("formula", "parts")

@@ -277,7 +277,9 @@ def test_criterion_3_certificates_sound_and_mutations_rejected():
     ones are defocused and checked unfocused, unfocused ones are
     re-indexed onto the reversed context and re-checked.  Everything else
     must be rejected, and rejections must dominate overall.  Every
-    rejection must point at the mutated node or one of its descendants.
+    rejection must point at the mutated node or one of its descendants,
+    and ``defocus`` must reject a focused mutant with the same reason,
+    message and path as ``check_focused``.
     """
     focused, unfocused = _sample_certificates()
     assert len(focused) + len(unfocused) == 50
@@ -300,6 +302,11 @@ def test_criterion_3_certificates_sound_and_mutations_rejected():
                     rejected += 1
                     if e.path[: len(path)] != path:
                         misplaced.append(("focused", path, mut.rule, e.path))
+                    # defocusing checks on the way, and must reject alike
+                    with pytest.raises(CheckError) as again:
+                        defocus(whole, sig, goal)
+                    mine = again.value.reason, again.value.message, again.value.path
+                    assert mine == (e.reason, e.message, e.path), (path, mut.rule)
                     continue
                 equivalent += 1
                 if _fpremises(sig, local, mut) == base:

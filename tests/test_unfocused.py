@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from selogic.corpus import load_corpus
 from selogic.errors import CheckError, Reason, UnknownLabel
-from selogic.focusing import FSequent, defocus
+from selogic.focusing import FProof, FSequent, check_focused, defocus
 from selogic.formulas import ZERO, Atom, NegAtom, Sequent
 from selogic.generators import random_context, random_signature
 from selogic.minsky import Configuration, run
@@ -176,6 +176,13 @@ def test_labels_must_be_declared(sig):
     goal = parse_sequent("|- ?zz x, 1")
     with pytest.raises(UnknownLabel):
         check_unfocused(sig, goal, UProof(WEAK, principal=0, premises=(UProof("one"),)))
+    # top closes without reading the undeclared label, so only the goal check sees it
+    goal = parse_sequent("|- top, ?zz x")
+    top = FProof("top", principal=0)
+    with pytest.raises(UnknownLabel):
+        check_focused(sig, goal, top)
+    with pytest.raises(UnknownLabel):
+        defocus(top, sig, goal)
 
 
 def test_unfocused_goals_have_no_focus(sig):
