@@ -270,6 +270,18 @@ def context_key(table: dict[int, int], ctx: Context) -> tuple[int, ...]:
     return tuple(sorted(map(table.__getitem__, map(id, ctx))))
 
 
+def class_firsts(table: dict[int, int], ctx: Context) -> list[int]:
+    """The position of the first formula of each equality class, in context order.
+
+    Equal formulas are interchangeable, so a rule applied at any of them
+    gives the same premises as multisets: both searches expand only these.
+    """
+    firsts: dict[int, int] = {}
+    for i, f in enumerate(ctx):
+        firsts.setdefault(table[id(f)], i)
+    return list(firsts.values())
+
+
 class Sequent(Record):
     """A one-sided sequent: an ordered context and at most one formula under
     focus.  Construction does no check, for a premise may be empty: ``bot``

@@ -33,8 +33,18 @@ close only by finit against a bare negated atom of the context, and the
 tensors split the context, so each needs one of its own.  No negated atom
 appears under focus (``?u ~x`` becomes ``~x`` only after a blur), so a
 decide whose skeleton atoms are not contained, as a multiset, in the
-context's negated atoms can never succeed and is not tried.  A neutral
-sequent with no decide left fails outright, not at the decide cap.
+context's negated atoms can never succeed and is not tried.  A bare
+negated atom ~x is used up only by finit, against a focused x, or by a top;
+an fbang premise holds only question-marked formulas and the body, so no x
+and no top under a bang can reach it.  So a neutral sequent
+with a bare ~x, but no x and no top outside every bang, is dead; that test
+runs after the relevance filter.  A neutral sequent that is dead or has no
+decide left fails outright, not at the decide cap.
+
+Equal formulas give premises that are equal multisets, with one memo key,
+so a decide is offered only at the first formula of each equality class
+(:func:`~selogic.formulas.class_firsts`): a decide on a later one would
+only be a memo hit that returns the first one's cutoff.
 
 Because udecide keeps its formula, proofs can regress forever; the search
 is made terminating by a per-branch cap on decides, deepened iteratively
@@ -84,11 +94,15 @@ from .formulas import (
     Formula,
     NegAtom,
     One,
+    Par,
     Plus,
     Qm,
     Sequent,
     Tensor,
+    Top,
+    With,
     Zero,
+    class_firsts,
     context_key,
     intern_table,
 )
@@ -192,7 +206,8 @@ class _Searcher:
         self.max_nodes = max_nodes
         # formula object id -> class number, over the goal's sub-objects
         self.table = table
-        # formula class -> its decide flavour and tensor skeleton, see _decide
+        # formula class -> (its decide flavour and tensor skeleton, see
+        # _decide; the atoms and top outside every bang, see _unbanged)
         self.decides: dict[int, tuple] = {}
         # ordered context classes -> (decide candidates, how many were filtered)
         self.candidates: dict[tuple[int, ...], tuple[list[FProof], int]] = {}
@@ -286,10 +301,13 @@ class _Searcher:
         filtered = 0
         negs = Counter(g.name for g in ctx if type(g) is NegAtom)
         flavours: dict[str, list[FProof]] = {LDECIDE: [], UDECIDE: [], DECIDE: []}
-        for i, c in enumerate(order):
-            decide = self.decides.get(c)
-            if decide is None:
-                decide = self.decides[c] = self._decide(ctx[i])
+        reach: set = set()
+        for i in class_firsts(self.table, ctx):
+            known = self.decides.get(order[i])
+            if known is None:
+                known = self.decides[order[i]] = self._decide(ctx[i]), _unbanged(ctx[i])
+            decide, atoms = known
+            reach |= atoms
             if not decide:
                 continue
             rule, skeleton = decide
@@ -299,6 +317,8 @@ class _Searcher:
                     break
             else:
                 flavours[rule].append(FProof(rule, principal=i))
+        if Top not in reach and not reach.issuperset(negs):
+            return [], filtered  # a bare negated atom that nothing can close
         return [*flavours[LDECIDE], *flavours[UDECIDE], *flavours[DECIDE]], filtered
 
     def _decide(self, f: Formula) -> tuple:
@@ -449,6 +469,25 @@ class _Searcher:
         self.stats.nodes += 1
         if self.stats.nodes > self.max_nodes:
             raise _NodeCap
+
+
+def _unbanged(f: Formula) -> frozenset:
+    """The names of the atoms in ``f`` outside every bang, and ``Top`` if a
+    top is."""
+    reach = set()
+    pending = [f]
+    while pending:
+        g = pending.pop()
+        t = type(g)
+        if t is Atom:
+            reach.add(g.name)
+        elif t is Top:
+            reach.add(Top)
+        elif t is Qm:
+            pending.append(g.body)
+        elif t is Tensor or t is Par or t is Plus or t is With:
+            pending += (g.left, g.right)
+    return frozenset(reach)
 
 
 # The nodes of a returned synchronous outcome, whose context is the

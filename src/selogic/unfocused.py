@@ -49,6 +49,7 @@ from .formulas import (
     Tensor,
     Top,
     With,
+    class_firsts,
     context_key,
     intern_table,
 )
@@ -406,14 +407,21 @@ def search_unfocused(
     The budget counts total rule applications in the emitted tree, with a
     separate global cap on contractions.  Returning ``None`` means no proof
     exists within the budget — not that the sequent is unprovable.  This is
-    a test oracle: the search enumerates every applicable rule (tensor
-    splits once per multiset, see :func:`tensor_splits`) and only prunes
-    branches that provably cannot matter: repeated states known to fail at
-    an equal or larger budget, moves whose premises coincide with an
-    already-tried move of the same rule, and branches that revisit an
-    ancestor's context — budgets only shrink on the way down, so any proof
-    below such a repeat has a smaller cycle-free counterpart that the
-    enumeration reaches anyway.
+    a test oracle: the search enumerates every applicable rule up to equal
+    premises and only prunes branches that provably cannot matter: repeated
+    states known to fail at an equal or larger budget, and branches that
+    revisit an ancestor's context — budgets only shrink on the way down, so
+    any proof below such a repeat has a smaller cycle-free counterpart that
+    the enumeration reaches anyway.
+
+    A rule acts only on the first formula of each equality class
+    (:func:`~selogic.formulas.class_firsts`), and a tensor splits the rest
+    once per multiset (:func:`tensor_splits`), so no two moves of one rule
+    have equal premise multisets and none is built to be dropped.  Equal
+    principals give equal premises; principals f and g of different classes
+    never do, since the premises of f hold m copies of the context less f,
+    plus the parts of f (m = 2 for with, else 1): equal premises would need
+    m g + parts(f) = m f + parts(g), but f is neither g nor its own part.
 
     The contraction cap is explored in tiers 0, 1, ..., ``max_contractions``:
     a proof using c contractions is found at tier c, so the set of goals with
@@ -447,7 +455,8 @@ _LOGICAL_MOVES = (
 def _moves(
     sig: Signature, table: dict[int, int], ctx: Context, contr_left: int
 ) -> Iterator[tuple[UProof, int]]:
-    """All rule applications at ``ctx``, deterministically ordered."""
+    """All rule applications at ``ctx`` with distinct premises, deterministically
+    ordered: principals only at :func:`~selogic.formulas.class_firsts`."""
     n = len(ctx)
     if n == 2:
         for i, j in ((0, 1), (1, 0)):
@@ -456,19 +465,20 @@ def _moves(
                 yield UProof(INIT, pair=(i, j)), 0
     if n == 1 and type(ctx[0]) is One:
         yield UProof(ONE_RULE), 0
+    firsts = [(p, ctx[p]) for p in class_firsts(table, ctx)]
     for kind, rules in _LOGICAL_MOVES:
-        for p, f in enumerate(ctx):
+        for p, f in firsts:
             if isinstance(f, kind):
                 for rule in rules:
                     yield UProof(rule, principal=p), 0
-    for p, f in enumerate(ctx):
+    for p, f in firsts:
         if isinstance(f, Bang) and all(
             isinstance(g, Qm) and leq(sig, f.label, g.label)
             for i, g in enumerate(ctx)
             if i != p
         ):
             yield UProof(BANG, principal=p), 0
-    for p, f in enumerate(ctx):
+    for p, f in firsts:
         if isinstance(f, Tensor):
             others = [i for i in range(n) if i != p]
             for split in tensor_splits(others, [table[id(ctx[i])] for i in others]):
@@ -476,10 +486,10 @@ def _moves(
     # structural moves come last so the first derivation found is one that
     # did not duplicate or discard anything it could avoid touching
     if contr_left > 0:
-        for p, f in enumerate(ctx):
+        for p, f in firsts:
             if isinstance(f, Qm) and is_unbounded(sig, f.label):
                 yield UProof(CONTR, principal=p), 1
-    for p, f in enumerate(ctx):
+    for p, f in firsts:
         if isinstance(f, Qm) and is_unbounded(sig, f.label):
             yield UProof(WEAK, principal=p), 0
 
@@ -561,13 +571,8 @@ def _derivations(
             return
         below = {**path, key: depth}
         yielded = False
-        seen: set = set()
         for head, ccost in _moves(sig, table, seq.context, contr_left):
             prems = [materialize(plan, seq) for plan in premise_plans(sig, seq, head)]
-            dedup = (head.rule, tuple(context_key(table, p.context) for p in prems))
-            if dedup in seen:
-                continue
-            seen.add(dedup)
             own = head.rule, head.principal, head.pair, head.split
             if not prems:
                 yielded = True
@@ -594,15 +599,8 @@ def _derivations(
                     fails, below, depth + 1, mylow,
                 ):
                     for s2, r2, c2 in _derivations(
-                        sig,
-                        table,
-                        prems[1],
-                        rules_left - 1 - r1,
-                        contr_left - ccost - c1,
-                        fails,
-                        below,
-                        depth + 1,
-                        mylow,
+                        sig, table, prems[1], rules_left - 1 - r1, contr_left - ccost - c1,
+                        fails, below, depth + 1, mylow,
                     ):
                         yielded = True
                         yield UProof(*own, (s1, s2)), 1 + r1 + r2, ccost + c1 + c2

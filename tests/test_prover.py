@@ -10,7 +10,7 @@ from selogic.focusing import FSequent, check_focused, defocus
 from selogic.generators import random_context, random_signature
 from selogic.minsky import Configuration, Halted, run
 from selogic.formulas import Sequent
-from selogic.parsing import parse_formula, parse_sequent, print_sequent
+from selogic.parsing import parse_formula, parse_sequent, parse_signature, print_sequent
 from selogic.prover import Exhausted, Proved, prove_focused
 from selogic.reduction import encode_halting
 from selogic.unfocused import check_unfocused, tensor_splits
@@ -48,6 +48,35 @@ def test_a_decide_that_cannot_close_is_not_tried(sig):
     out = prove_focused(sig, fgoal("|- ?inf (q * ~r), ~s"), max_decides=4)
     assert isinstance(out, Exhausted) and out.complete
     assert out.stats.rounds == 1 and out.stats.filtered > 0
+
+
+def test_a_bare_negated_atom_with_no_partner_outside_a_bang_is_dead(sig):
+    # x occurs only under a bang, whose premise cannot hold ~x: the first
+    # round fails outright where it used to need a second
+    out = prove_focused(sig, fgoal("|- ~x, ?inf !u x"), max_decides=4)
+    assert isinstance(out, Exhausted) and out.complete
+    assert out.stats.rounds == 1 and out.stats.nodes == 1
+    # a top outside every bang can take ~x, and so can an x under a par
+    for text in ("|- ~x, ?u top", "|- ~x, ?u (bot | x)"):
+        assert isinstance(prove_focused(sig, fgoal(text), max_decides=4), Proved)
+
+
+def test_equal_formulas_are_decided_once(sig):
+    # neither class can close, and each is filtered once, not once per copy
+    out = prove_focused(sig, fgoal("|- ?inf (q * ~r), r, ?inf (q * ~r)"), max_decides=4)
+    assert isinstance(out, Exhausted) and out.complete
+    assert out.stats.rounds == 1 and out.stats.filtered == 2
+
+
+@pytest.mark.xfail(strict=True, reason="the lazy split retries an already-consumed multiset")
+def test_a_consumed_multiset_is_not_retried_at_a_cutoff():
+    # oracle draw #17: the second plus branch's fbang premise consumes the
+    # same empty multiset as f1 and is cut off at budget 0, which clears
+    # complete for that round and costs two more rounds
+    s = parse_signature("labels: k u v w\nunbounded: k v\norder: w <= v\n")
+    out = prove_focused(s, fgoal("|- ((1 + !v ?w !v 1) * 0), bot, n"), max_decides=5)
+    assert isinstance(out, Exhausted) and out.complete
+    assert out.stats.rounds == 2
 
 
 def test_exhausted_complete_means_no_budget_will_help(sig):
@@ -242,15 +271,16 @@ def test_equal_formulas_as_distinct_objects_prove_alike():
 
 def test_drain_a_at_three_stays_under_its_node_count():
     # splitting by multiplicity cut this from 13 788 nodes to 10 257, lazy
-    # tensor splitting to 2 412, relevance-filtered decides to 751, and
-    # keeping complete failures across rounds to 494
+    # tensor splitting to 2 412, relevance-filtered decides to 751,
+    # keeping complete failures across rounds to 494, and one decide per
+    # equality class with dead negated atoms to 309
     m, init = load_corpus("drain_a")
     assert init.a == 3
     bundle = encode_halting(m, init)
     out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=8)
     assert isinstance(out, Proved)
-    assert out.stats.nodes <= 494
-    assert out.stats.round_nodes == [1, 16, 36, 79, 122, 115, 69, 56]
+    assert out.stats.nodes <= 309
+    assert out.stats.round_nodes == [1, 14, 17, 38, 55, 65, 66, 53]
     assert sum(out.stats.round_nodes) == out.stats.nodes
     again = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=8)
     assert again.stats.filtered == out.stats.filtered > 0
@@ -264,7 +294,7 @@ def test_drain_a_at_twenty_is_proved_within_the_default_node_cap():
     assert isinstance(out, Proved)
     check_focused(bundle.signature, goal, out.proof)
     assert out.stats.rounds == 25
-    assert out.stats.nodes <= 82_111
+    assert out.stats.nodes < 20_000
 
 
 @settings(max_examples=60, deadline=None)
