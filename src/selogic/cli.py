@@ -202,7 +202,6 @@ def cmd_roundtrip(args) -> int:
     bundle = encode_halting(*loaded)
     goal = Sequent(bundle.goal)
     proof = proof_from_trace(bundle, trace)
-    check_focused(bundle.signature, goal, proof)
     unfocused = defocus(proof, bundle.signature, goal)
     check_unfocused(bundle.signature, goal, unfocused)
     back = trace_from_proof(bundle, proof)
@@ -223,7 +222,6 @@ def cmd_selftest(args) -> int:
         goal = Sequent(random_context(rng, sig))
         res = prove_focused(sig, goal, max_decides=6, max_nodes=40_000)
         if isinstance(res, Proved):
-            check_focused(sig, goal, res.proof)
             u = defocus(res.proof, sig, goal)
             check_unfocused(sig, goal, u)
             proved += 1

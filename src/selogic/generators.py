@@ -79,10 +79,9 @@ def random_formula(
 def random_context(
     rng: random.Random,
     sig: Signature,
-    provable_bias: bool = True,
     atoms: tuple[str, ...] = _ATOM_POOL,
 ) -> Context:
-    if provable_bias and rng.random() < 0.55:
+    if rng.random() < 0.55:
         f = random_formula(rng, sig, rng.randint(1, 4), atoms)
         ctx = [f, dual(f)]
         unb = sorted(sig.unbounded)

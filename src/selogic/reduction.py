@@ -294,8 +294,9 @@ def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
     unique state atom — so the mnemonics concatenate along a single spine.
     """
     sig = bundle.signature
-    # a checked certificate's contexts share the goal's own table elements,
-    # found by identity; equal elements fire the same instruction
+    # a checked walk's contexts hold only the goal's own objects and their
+    # parts; inf is the only unbounded label and no table element contains
+    # a ?inf, so every udecide principal is a goal element, found by identity
     element_ids = [*map(id, bundle.goal[: len(bundle.table)])]
     names: list[str | None] = [e.instruction for e in bundle.machine.entries]
     names += [None] * (len(bundle.table) - len(names))
@@ -312,14 +313,11 @@ def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
             here = nearest[parent] if parent >= 0 else -1
             if node.rule == UDECIDE:
                 f = fseq.context[node.principal]
-                if id(f) in element_ids:
-                    j = element_ids.index(id(f))
-                elif f in (wrapped := [Qm(LABEL_INF, g) for g in bundle.table]):
-                    j = wrapped.index(f)
-                else:
+                if id(f) not in element_ids:
                     raise MalformedCertificate(
                         "udecide focuses a formula outside the instruction table"
                     )
+                j = element_ids.index(id(f))
                 if names[j] is not None:
                     if here != last:
                         raise MalformedCertificate(

@@ -408,11 +408,8 @@ def search_unfocused(
     separate global cap on contractions.  Returning ``None`` means no proof
     exists within the budget — not that the sequent is unprovable.  This is
     a test oracle: the search enumerates every applicable rule up to equal
-    premises and only prunes branches that provably cannot matter: repeated
-    states known to fail at an equal or larger budget, and branches that
-    revisit an ancestor's context — budgets only shrink on the way down, so
-    any proof below such a repeat has a smaller cycle-free counterpart that
-    the enumeration reaches anyway.
+    premises, and prunes only contexts known to fail at an equal or larger
+    budget.
 
     A rule acts only on the first formula of each equality class
     (:func:`~selogic.formulas.class_firsts`), and a tensor splits the rest
@@ -429,6 +426,17 @@ def search_unfocused(
     never pay for the contraction-heavy part of the space.  Failure records
     carry the budget they were established at, so one cache serves all tiers.
 
+    The tiers also make every answer cycle-free: no proof returned repeats
+    a context, as a multiset, along a branch.  Every rule but ``contr``
+    leaves premises with strictly fewer connectives and atoms than the
+    conclusion, so a repeat has a contraction between its two ends.
+    Replacing the subtree at the lower end by the upper end's subtree,
+    re-indexed to the lower context (permuted contexts are equiderivable at
+    the same size), gives a proof with fewer rules and fewer contractions,
+    which an earlier tier would have found.  So at the first tier that
+    finds a proof, no derivation of the goal within the budget has a cycle,
+    and the search needs no check against its ancestors' contexts.
+
     Contexts are keyed as multisets of class numbers from
     :func:`~selogic.formulas.intern_table`, built once from the goal.  That
     is sound because every rule only takes formulas apart, keeps them or
@@ -439,9 +447,7 @@ def search_unfocused(
     table = intern_table(*goal.context)
     fails: dict = {}
     for cap in range(max_contractions + 1):
-        for proof, _rules, _contr in _derivations(
-            sig, table, goal, max_rules, cap, fails, {}, 0, [_FAR]
-        ):
+        for proof, _rules, _contr in _derivations(sig, table, goal, max_rules, cap, fails):
             return proof
     return None
 
@@ -525,9 +531,6 @@ def _record_fail(fails: dict, key, rules_left: int, contr_left: int) -> None:
     entries.append((rules_left, contr_left))
 
 
-_FAR = 10**9  # deeper than any path can reach
-
-
 def _derivations(
     sig: Signature,
     table: dict[int, int],
@@ -535,79 +538,46 @@ def _derivations(
     rules_left: int,
     contr_left: int,
     fails: dict,
-    path: dict,
-    depth: int,
-    low: list,
 ) -> Iterator[tuple[UProof, int, int]]:
-    """Yield (proof, rules used, contractions used) for every cycle-free
-    derivation of ``seq`` within the budget, in deterministic order.
+    """Yield (proof, rules used, contractions used) for every derivation of
+    ``seq`` within the budget, in deterministic order.
 
-    ``path`` maps each ancestor context of this premise to its depth.
-    Meeting one again is pruned: budgets only shrink downward, so any
-    derivation through the repeat has a smaller repeat-free counterpart
-    that the enumeration reaches anyway.  It must not be one shared mutable
-    mapping — sibling premises are enumerated while this generator sits
-    suspended at a yield, and they may legitimately share a context with us.
-
-    ``low`` is the caller's accumulator for the shallowest ancestor any
-    cycle prune pointed at.  An exhausted subtree may cache its failure
-    only when every prune inside it pointed at this node or deeper: such
-    cycles close within the subtree, where the shortening argument applies,
-    so the exhaustion is genuine.  A prune aimed above this node means some
-    branch was cut for a reason that holds only on this particular path,
-    and the verdict cannot be reused elsewhere.
+    An exhausted enumeration records its budget in ``fails``, so the same
+    context is not searched again at an equal or smaller budget.
     """
-    mylow = [_FAR]
-    try:
-        if rules_left <= 0:
+    if rules_left <= 0:
+        return
+    key = context_key(table, seq.context)
+    for rl, cl in fails.get(key, ()):
+        if rules_left <= rl and contr_left <= cl:
             return
-        key = context_key(table, seq.context)
-        for rl, cl in fails.get(key, ()):
-            if rules_left <= rl and contr_left <= cl:
-                return
-        seen_at = path.get(key)
-        if seen_at is not None:
-            mylow[0] = seen_at
-            return
-        below = {**path, key: depth}
-        yielded = False
-        for head, ccost in _moves(sig, table, seq.context, contr_left):
-            prems = [materialize(plan, seq) for plan in premise_plans(sig, seq, head)]
-            own = head.rule, head.principal, head.pair, head.split
-            if not prems:
+    yielded = False
+    for head, ccost in _moves(sig, table, seq.context, contr_left):
+        prems = [materialize(plan, seq) for plan in premise_plans(sig, seq, head)]
+        own = head.rule, head.principal, head.pair, head.split
+        if not prems:
+            yielded = True
+            yield head, 1, ccost
+        elif len(prems) == 1:
+            for sub, r, c in _derivations(
+                sig, table, prems[0], rules_left - 1, contr_left - ccost, fails
+            ):
                 yielded = True
-                yield head, 1, ccost
-            elif len(prems) == 1:
-                for sub, r, c in _derivations(
-                    sig, table, prems[0], rules_left - 1, contr_left - ccost,
-                    fails, below, depth + 1, mylow,
+                yield UProof(*own, (sub,)), 1 + r, ccost + c
+        else:
+            # the right premise has the most budget when the left is
+            # smallest; if even that fails, skip the whole product
+            probe = _derivations(sig, table, prems[1], rules_left - 2, contr_left - ccost, fails)
+            if next(probe, None) is None:
+                continue
+            probe.close()
+            for s1, r1, c1 in _derivations(
+                sig, table, prems[0], rules_left - 2, contr_left - ccost, fails
+            ):
+                for s2, r2, c2 in _derivations(
+                    sig, table, prems[1], rules_left - 1 - r1, contr_left - ccost - c1, fails
                 ):
                     yielded = True
-                    yield UProof(*own, (sub,)), 1 + r, ccost + c
-            else:
-                # the right premise has the most budget when the left is
-                # smallest; if even that fails, skip the whole product
-                probe = _derivations(
-                    sig, table, prems[1], rules_left - 2, contr_left - ccost,
-                    fails, below, depth + 1, mylow,
-                )
-                if next(probe, None) is None:
-                    continue
-                probe.close()
-                for s1, r1, c1 in _derivations(
-                    sig, table, prems[0], rules_left - 2, contr_left - ccost,
-                    fails, below, depth + 1, mylow,
-                ):
-                    for s2, r2, c2 in _derivations(
-                        sig, table, prems[1], rules_left - 1 - r1, contr_left - ccost - c1,
-                        fails, below, depth + 1, mylow,
-                    ):
-                        yielded = True
-                        yield UProof(*own, (s1, s2)), 1 + r1 + r2, ccost + c1 + c2
-        if not yielded and mylow[0] >= depth:
-            _record_fail(fails, key, rules_left, contr_left)
-    finally:
-        # fold into the caller even when abandoned mid-way: our prunes
-        # happened inside the caller's subtree too
-        if mylow[0] < low[0]:
-            low[0] = mylow[0]
+                    yield UProof(*own, (s1, s2)), 1 + r1 + r2, ccost + c1 + c2
+    if not yielded:
+        _record_fail(fails, key, rules_left, contr_left)

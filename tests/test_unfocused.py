@@ -10,10 +10,21 @@ from selogic.certificates import print_unfocused_proof
 from selogic.corpus import load_corpus
 from selogic.errors import CheckError, Reason, UnknownLabel
 from selogic.focusing import FProof, FSequent, check_focused, defocus
-from selogic.formulas import ZERO, Atom, NegAtom, Sequent, intern_table
+from selogic.formulas import (
+    ZERO,
+    Atom,
+    NegAtom,
+    Plus,
+    Qm,
+    Sequent,
+    Tensor,
+    With,
+    context_key,
+    intern_table,
+)
 from selogic.generators import random_context, random_signature
 from selogic.minsky import Configuration, run
-from selogic.parsing import parse_formula, parse_sequent, print_sequent
+from selogic.parsing import parse_formula, parse_sequent, parse_signature, print_sequent
 from selogic.reduction import encode_halting, encoding_signature, proof_from_trace
 from selogic.unfocused import (
     BANG,
@@ -32,6 +43,7 @@ from selogic.unfocused import (
     WITH,
     _moves,
     check_unfocused,
+    checked_nodes,
     count_rule,
     materialize,
     premise_plans,
@@ -394,3 +406,52 @@ def test_oracle_moves_are_every_move_less_repeated_premises():
             assert got == expected, print_sequent(seq)
         repeats += len(set(seq.context)) < len(seq.context)
     assert contexts >= 300 and repeats >= 50
+
+
+def _contraction_contexts(count):
+    """``?inf ~x, ?inf ~y`` and a tensor/plus/with tree of 2-4 atoms over x
+    and y, sometimes with a bounded ``?u ~x`` or ``?u ~y``, shuffled: a tree
+    that uses an atom twice needs its ``?inf`` contracted."""
+
+    def tree(rng, leaves):
+        if leaves == 1:
+            return Atom(rng.choice("xy"))
+        k = rng.randint(1, leaves - 1)
+        return rng.choice((Tensor, Plus, With))(tree(rng, k), tree(rng, leaves - k))
+
+    rng = random.Random(15)
+    for _ in range(count):
+        c = [Qm("inf", NegAtom("x")), Qm("inf", NegAtom("y")), tree(rng, rng.randint(2, 4))]
+        if rng.random() < 0.4:
+            c.append(Qm("u", NegAtom(rng.choice("xy"))))
+        rng.shuffle(c)
+        yield tuple(c)
+
+
+def test_oracle_answers_when_contraction_is_needed():
+    # the answers are pinned, and none repeats a context along a branch:
+    # the contraction tiers alone keep every answer cycle-free
+    s = parse_signature("labels: u inf\nunbounded: inf\norder: u <= inf")
+    lines = []
+    contracted = 0
+    for c in _contraction_contexts(50):
+        goal = Sequent(c)
+        proof = search_unfocused(s, goal, max_rules=16, max_contractions=3)
+        lines.append("none" if proof is None else print_unfocused_proof(proof))
+        if proof is None:
+            continue
+        contracted += count_rule(proof, CONTR) > 0
+        table = intern_table(*c)
+        keys, parents = [], []
+        for _node, seq, _plans, parent in checked_nodes(s, premise_plans, goal, proof):
+            key = context_key(table, seq.context)
+            up = parent
+            while up >= 0:
+                assert keys[up] != key, print_sequent(goal)
+                up = parents[up]
+            keys.append(key)
+            parents.append(parent)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert sum(line != "none" for line in lines) == 45
+    assert contracted == 14
+    assert digest == "6c46bd2fde06759aabbd13d3d6eae8759fbcdaeba582e622752e7067c9c91573"
