@@ -256,38 +256,31 @@ def count_decides(proof: FProof) -> int:
 
 # --- defocusing -------------------------------------------------------------
 #
-# Every formula occurrence is an :class:`~selogic.unfocused.Occurrence`,
-# which carries its formula.  The checking walk runs over the occurrences
-# themselves: its goal is the focused goal's occurrences and
-# :func:`_occurrence_plans` validates each node on the formulas they carry,
-# so the walk hands over each node's ``tags``, its focused sequent as
-# occurrences, and rejects exactly what :func:`check_focused` rejects.
-# ``slots`` holds the same occurrences, context plus focus, in the order of
-# the unfocused context being proved, which is read off them.  The emitted
-# unfocused rules' plans move ``slots`` through the same materializer, so
-# both name the same occurrences with no renumbering.  An occurrence makes
-# each of its parts once (its parts cache), so the parts the walk takes and
-# the parts ``slots`` take are the same objects.  udecide is the one rule
-# whose focus copies a formula that stays, to be decided again: at each
-# udecide :func:`_defocus` renews the body's cache entry, which the walk
-# then reads when it lays out the premise.
+# :func:`defocus` drains the walk that :func:`check_focused` drains, after
+# the same goal check, so it rejects exactly what :func:`check_focused`
+# rejects.  Beside the walk it keeps, for each premise, two tuples of
+# :class:`~selogic.unfocused.Occurrence` stand-ins for the focused
+# sequent's formula occurrences.  ``tags`` lays them out as the focused
+# sequent does, context then focus, and the plans the walk yields move
+# them.  ``slots`` holds the same occurrences in the order of the
+# unfocused context being proved, which is read off them, and the plans
+# of the emitted unfocused rules move them.  Both name the same
+# occurrences with no renumbering: an occurrence makes each of its parts
+# once (its parts cache), so the parts the tags take and the parts the
+# slots take are the same objects.  udecide is the one rule whose focus
+# copies a formula that stays, to be decided again: at each udecide
+# :func:`_defocus` renews the body's cache entry before the node's plans
+# move the tags.
 #
 # At each node :func:`_defocus` emits a chain of unfocused rule heads, the
 # last of which takes the translated premises, and the slots of each
-# premise; those sit on a stack that the walk pops in the same order.  The
-# unfocused tree is then assembled bottom-up in reverse pre-order, so
-# nothing recurses.
+# premise.  Each premise's tags and slots sit on a stack that is popped in
+# the walk's order.  The unfocused tree is then assembled bottom-up in
+# reverse pre-order, so nothing recurses.
 
 #: The unfocused rule of a focused node that acts on one position, where
 #: the two differ; par, bot, with and top keep their names.
 _ONE_POSITION = {LDECIDE: uf.QM, FPLUS1: uf.PLUS1, FPLUS2: uf.PLUS2}
-
-
-def _occurrence_plans(sig: Signature, tags: Sequent, node: FProof) -> list[Plan]:
-    """:func:`fpremise_plans` on the formulas that ``tags`` carry."""
-    focus = tags.focus
-    fseq = Sequent([o.formula for o in tags.context], None if focus is None else focus.formula)
-    return fpremise_plans(sig, fseq, node)
 
 
 def defocus(proof: FProof, sig: Signature, goal: Sequent) -> UProof:
@@ -297,19 +290,22 @@ def defocus(proof: FProof, sig: Signature, goal: Sequent) -> UProof:
     any, appended.  Decides vanish or become contraction/dereliction pairs,
     and the weakenings folded into finit/f1/fbang/ftensor become explicit
     weakening chains.  The goal and the focused certificate are checked on
-    the way, as :func:`check_focused` checks them; a rejected one raises
-    the same error.
+    the way by :func:`check_focused`'s own walk; a rejected one raises the
+    same error.
     """
     check_goal(sig, goal, focused=True)
     occurrences = tuple(map(Occurrence, goal.context))
     focus = None if goal.focus is None else Occurrence(goal.focus)
-    pending = [Sequent(occurrences if focus is None else (*occurrences, focus))]
+    slots = occurrences if focus is None else (*occurrences, focus)
+    # the (tags, slots) of each premise still to translate
+    pending = [(Sequent(occurrences, focus), Sequent(slots))]
     order = []
-    walk = uf.checked_nodes(sig, _occurrence_plans, Sequent(occurrences, focus), proof)
-    for node, tags, _, _ in walk:
-        chain, premises = _defocus(sig, node, tags, pending.pop())
+    for node, _, plans, _ in checked_nodes(sig, goal, proof):
+        tags, slots = pending.pop()
+        chain, premises = _defocus(sig, node, tags, slots)
         order.append((chain, len(premises)))
-        pending.extend(reversed(premises))
+        moved = [materialize(plan, tags) for plan in plans]
+        pending.extend(reversed([*zip(moved, premises, strict=True)]))
     return uf.assemble(order)
 
 
@@ -337,7 +333,7 @@ def _defocus(
         case "udecide":
             # contraction then dereliction put the body right after the
             # formula; a fresh occurrence, since the formula stays to be
-            # decided again, and the walk's premise takes the same one
+            # decided again, and the premise's tags take the same one
             qm = tags.context[node.principal]
             fresh = qm.parts[0] = Occurrence(qm.formula.body)
             p = slots.context.index(qm)

@@ -206,8 +206,8 @@ class _Searcher:
         self.max_nodes = max_nodes
         # formula object id -> class number, over the goal's sub-objects
         self.table = table
-        # formula class -> (its decide flavour and tensor skeleton, see
-        # _decide; the atoms and top outside every bang, see _unbanged)
+        # formula class -> (its decide flavour and tensor skeleton; the
+        # atoms and top outside every bang), see _decide
         self.decides: dict[int, tuple] = {}
         # ordered context classes -> (decide candidates, how many were filtered)
         self.candidates: dict[tuple[int, ...], tuple[list[FProof], int]] = {}
@@ -305,7 +305,7 @@ class _Searcher:
         for i in class_firsts(self.table, ctx):
             known = self.decides.get(order[i])
             if known is None:
-                known = self.decides[order[i]] = self._decide(ctx[i]), _unbanged(ctx[i])
+                known = self.decides[order[i]] = self._decide(ctx[i])
             decide, atoms = known
             reach |= atoms
             if not decide:
@@ -321,26 +321,38 @@ class _Searcher:
             return [], filtered  # a bare negated atom that nothing can close
         return [*flavours[LDECIDE], *flavours[UDECIDE], *flavours[DECIDE]], filtered
 
-    def _decide(self, f: Formula) -> tuple:
-        """The decide flavour that focuses ``f`` and the atoms reached from
-        its focus through tensors only, with multiplicities; empty when
-        ``f`` is not decided."""
-        if type(f) is Qm:
+    def _decide(self, f: Formula) -> tuple[tuple, frozenset]:
+        """One walk over ``f``: the decide flavour that focuses it with the
+        atoms reached from its focus through tensors only, with
+        multiplicities, or empty when ``f`` is not decided; and the names of
+        the atoms in ``f`` outside every bang, with ``Top`` if a top is."""
+        t = type(f)
+        if t is Qm:
             rule = UDECIDE if is_unbounded(self.sig, f.label) else LDECIDE
-            focus = f.body
-        elif type(f) is NegAtom or type(f) is Zero:
-            return ()  # negated atoms are not decided; nothing acts on a focused zero
+        elif t is NegAtom or t is Zero:
+            rule = None  # negated atoms are not decided; nothing acts on a focused zero
         else:
-            rule, focus = DECIDE, f
+            rule = DECIDE
         names: Counter[str] = Counter()
-        pending = [focus]
+        reach = set()
+        # (subformula, whether tensors alone lead to it from the focus)
+        pending = [(f, rule == DECIDE)]
         while pending:
-            g = pending.pop()
-            if type(g) is Tensor:
-                pending += (g.left, g.right)
-            elif type(g) is Atom:
-                names[g.name] += 1
-        return rule, tuple(names.items())
+            g, skeleton = pending.pop()
+            t = type(g)
+            if t is Atom:
+                reach.add(g.name)
+                if skeleton:
+                    names[g.name] += 1
+            elif t is Top:
+                reach.add(Top)
+            elif t is Qm:
+                pending.append((g.body, g is f))
+            elif t is Tensor:
+                pending += ((g.left, skeleton), (g.right, skeleton))
+            elif t is Par or t is Plus or t is With:
+                pending += ((g.left, False), (g.right, False))
+        return ((rule, tuple(names.items())) if rule else ()), frozenset(reach)
 
     def _focused(self, fseq: Sequent, budget: int, used: int) -> tuple[FProof | None, bool]:
         ctx = fseq.context
@@ -469,25 +481,6 @@ class _Searcher:
         self.stats.nodes += 1
         if self.stats.nodes > self.max_nodes:
             raise _NodeCap
-
-
-def _unbanged(f: Formula) -> frozenset:
-    """The names of the atoms in ``f`` outside every bang, and ``Top`` if a
-    top is."""
-    reach = set()
-    pending = [f]
-    while pending:
-        g = pending.pop()
-        t = type(g)
-        if t is Atom:
-            reach.add(g.name)
-        elif t is Top:
-            reach.add(Top)
-        elif t is Qm:
-            pending.append(g.body)
-        elif t is Tensor or t is Par or t is Plus or t is With:
-            pending += (g.left, g.right)
-    return frozenset(reach)
 
 
 # The nodes of a returned synchronous outcome, whose context is the

@@ -22,8 +22,8 @@ configuration, where the run is trivially complete but the goal is not
 derivable; :func:`proof_from_trace` refuses that empty trace.
 
 :func:`proof_from_trace` turns a verified halting trace into a focused
-certificate, and :func:`trace_from_proof` reads the trace back out of any
-checked certificate for the goal.
+certificate, and :func:`trace_from_proof` checks any certificate for the
+goal and reads the trace back out of it.
 """
 
 from __future__ import annotations
@@ -167,10 +167,13 @@ class _Builder:
     """Builds the canonical certificate for a replayed halting run.
 
     Every spine sequent is recomputed through the checker's premise plans,
-    so a construction bug cannot produce an ill-formed certificate — it
-    fails loudly instead — and positions are read off the sequent itself:
-    after the table the context holds only register tokens and one negated
-    atom, the current state's or, once halt fired, the halt token's.
+    so a spine head that does not apply fails loudly, and positions are
+    read off the sequent itself: after the table the context holds only
+    register tokens and one negated atom, the current state's or, once
+    halt fired, the halt token's.  The closed side branches (``finit``,
+    the inner ``ftensor`` and ``_CONSUME_TOKEN``) are not validated here:
+    only :func:`~selogic.focusing.check_focused` catches a bug in them,
+    which is why ``selogic synthesize`` checks what it builds.
 
     The certificate is one spine: every node on it continues the run in its
     last premise, and only closed side branches hang off to the left.  The
@@ -285,13 +288,18 @@ def proof_from_trace(bundle: ReductionBundle, trace: Sequence[str]) -> FProof:
 
 
 def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
-    """Read the instruction sequence back out of a checked certificate.
+    """Check a certificate and read the instruction sequence back out of it.
 
     Every udecide in a certificate for an encoded goal focuses some table
     element; those carrying machine entries yield their mnemonics, the
     three draining helpers are bookkeeping and yield nothing.  The steps of
     a run cannot spread over parallel branches — each one consumes the
     unique state atom — so the mnemonics concatenate along a single spine.
+    The check is :func:`~selogic.focusing.check_focused`'s walk.  A
+    certificate it rejects raises :class:`MalformedCertificate` caused by
+    the :class:`CheckError`, never a complaint about its steps: the branch
+    of a step fired off the spine, which no state atom reaches, never
+    checks in full.
     """
     sig = bundle.signature
     # a checked walk's contexts hold only the goal's own objects and their
@@ -327,7 +335,7 @@ def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
                     here = last = i
             nearest.append(here)
     except CheckError as e:
-        raise MalformedCertificate(f"not a certificate for this goal: {e}") from None
+        raise MalformedCertificate(f"not a certificate for this goal: {e}") from e
     if not out or out[-1] != HALT:
         raise MalformedCertificate("certificate never fires a halt instruction")
     return tuple(out)

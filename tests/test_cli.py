@@ -181,7 +181,24 @@ def test_extract_rejects_foreign_proof(incra_files, capsys):
     _, _, proof_f = incra_files
     capsys.readouterr()
     assert main(["extract", "halt_only", "--proof", str(proof_f)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == "error: context-mismatch at 0: ftensor positions out of range\n"
+
+
+def test_extract_reports_a_bad_udecide_position_as_the_checker_does(tmp_path, capsys):
+    proof_f = tmp_path / "p.cert"
+    proof_f.write_text("(udecide 999 (f1))\n")
+    assert main(["extract", "halt_only", "--proof", str(proof_f)]) == 1
+    assert capsys.readouterr().err == (
+        "error: context-mismatch at root: position 999 out of range for context of 5\n"
+    )
+
+
+def test_extract_walks_the_certificate_once(tmp_path, capsys, walks):
+    proof_f = tmp_path / "p.cert"
+    main(["synthesize", "drain_a", "--proof-out", str(proof_f)])
+    walks.clear()
+    assert main(["extract", "drain_a", "--proof", str(proof_f)]) == 0
+    assert len(walks) == 1
 
 
 def test_synthesize_empty_trace_is_the_honest_negative(capsys):

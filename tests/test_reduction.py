@@ -1,7 +1,14 @@
 import pytest
 
 from selogic.corpus import load_corpus
-from selogic.errors import AtomClash, MalformedCertificate, TraceMismatch, UnknownState
+from selogic.errors import (
+    AtomClash,
+    CheckError,
+    MalformedCertificate,
+    Reason,
+    TraceMismatch,
+    UnknownState,
+)
 from selogic.focusing import (
     UDECIDE,
     FProof,
@@ -192,3 +199,15 @@ def test_udecide_position_is_checked_before_it_is_read(principal):
         "not a certificate for this goal: context-mismatch at root: "
         f"position {principal} out of range for context of {len(bundle.goal)}"
     )
+    cause = e.value.__cause__
+    assert isinstance(cause, CheckError)
+    assert (cause.reason, cause.path) == (Reason.CONTEXT_MISMATCH, ())
+    assert str(e.value) == f"not a certificate for this goal: {cause}"
+
+
+def test_defocus_walks_the_certificate_once(walks):
+    m, init = load_corpus("drain_a")
+    bundle = encode_halting(m, init)
+    proof = proof_from_trace(bundle, run(m, init, max_steps=200).trace)
+    defocus(proof, bundle.signature, Sequent(bundle.goal))
+    assert walks == [proof]
