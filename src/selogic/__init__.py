@@ -55,7 +55,7 @@ from .parsing import (
     print_signature,
 )
 from .unfocused import UProof, check_unfocused, proof_size, search_unfocused
-from .focusing import FProof, FSequent, check_focused, count_decides, defocus, is_neutral
+from .focusing import FProof, check_focused, count_decides, defocus, is_neutral
 from .prover import Exhausted, Proved, SearchStats, prove_focused
 from .minsky import (
     Configuration,

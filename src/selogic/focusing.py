@@ -35,7 +35,6 @@ from .formulas import (
     Bot,
     Context,
     Formula,
-    FSequent,  # noqa: F401  (exported)
     NegAtom,
     One,
     Par,
@@ -49,7 +48,7 @@ from .formulas import (
     polarity,
 )
 from .records import ProofNode, setfield
-from .signatures import Signature, check_goal, is_unbounded, leq
+from .signatures import Signature, check_goal, is_unbounded
 from . import unfocused as uf
 from .unfocused import (
     NO_FOCUS, Occurrence, Plan, UProof, _fail, _in_range, _principal, materialize,
@@ -67,6 +66,8 @@ FPLUS2 = "fplus2"
 FBANG = "fbang"
 
 DECIDE_RULES = (DECIDE, LDECIDE, UDECIDE)
+
+FSequent = Sequent  # a second name, read only by bench/workloads.py
 
 
 @dataclass(slots=True, eq=False, repr=False, init=False)
@@ -149,7 +150,7 @@ def fpremise_plans(sig: Signature, fseq: Sequent, node: FProof) -> list[Plan]:
             if rule == "decide":
                 if polarity(f) is not Polarity.POSITIVE:
                     _fail(Reason.FOCUS_ON_NEGATIVE, "decide needs a positive formula")
-                return [(uf.around(n, p), (("run", p, p + 1),))]
+                return [((("run", 0, p), ("run", p + 1, n)), (("run", p, p + 1),))]
             if not isinstance(f, Qm):
                 _fail(Reason.CONTEXT_MISMATCH, f"{rule} needs a question-marked formula")
             if rule == "ldecide":
@@ -158,7 +159,7 @@ def fpremise_plans(sig: Signature, fseq: Sequent, node: FProof) -> list[Plan]:
                         Reason.WRONG_DECIDE_FLAVOR,
                         f"label {f.label!r} is unbounded; use udecide",
                     )
-                return [(uf.around(n, p), (("part", p, 0),))]
+                return [((("run", 0, p), ("run", p + 1, n)), (("part", p, 0),))]
             if not is_unbounded(sig, f.label):
                 _fail(Reason.WRONG_DECIDE_FLAVOR, f"label {f.label!r} is bounded; use ldecide")
             return [(whole, (("part", p, 0),))]
@@ -221,19 +222,17 @@ def fpremise_plans(sig: Signature, fseq: Sequent, node: FProof) -> list[Plan]:
             kept = set(node.kept)
             if len(kept) != len(node.kept) or not _in_range(kept, n):
                 _fail(Reason.CONTEXT_MISMATCH, "fbang kept positions out of range")
-            for i in kept:
-                g = ctx[i]
-                if not (isinstance(g, Qm) and leq(sig, f.label, g.label)):
-                    _fail(
-                        Reason.PROMOTION_BLOCKED,
-                        f"promotion of !{f.label} can keep only question-marked formulas "
-                        f"at labels above {f.label!r}",
-                    )
+            if not uf.promotes(sig, f.label, map(ctx.__getitem__, kept)):
+                _fail(
+                    Reason.PROMOTION_BLOCKED,
+                    f"promotion of !{f.label} can keep only question-marked formulas "
+                    f"at labels above {f.label!r}",
+                )
             _bystanders_unbounded(sig, ctx, filterfalse(kept.__contains__, range(n)), "fbang")
             return [((("pick", tuple(sorted(kept))), ("fpart", 0)), NO_FOCUS)]
         case "par" | "bot" | "with" | "top":
             _require_no_focus(focus, rule)
-            return uf.premise_plans(sig, fseq, UProof(rule, principal=p))
+            return uf.premise_plans(sig, fseq, node)
         case _:
             _fail(Reason.CONTEXT_MISMATCH, f"unknown rule tag {rule!r}")
 

@@ -312,6 +312,3 @@ class Sequent(Record):
         if not self.context:
             raise ValueError("a sequent needs at least one formula")
         return self.context
-
-
-FSequent = Sequent  # the focused calculus's name for it

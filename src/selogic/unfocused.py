@@ -9,6 +9,9 @@ out each premise as a plan, a short list of segments over the conclusion
 :func:`materialize` joins those segments into the premise at C speed.
 The same plans drive the checking walk, the bounded proof search used as
 a test oracle and, in the focused calculus, the prover and defocusing.
+The ten rules on one principal formula are the rows of :data:`ROWS`.
+The checker validates each node against its row.  The oracle picks moves
+that pass the rows and lays them out from the rows and :func:`tensor_plans`.
 
 Rule tags::
 
@@ -164,11 +167,6 @@ class Occurrence:
         return p
 
 
-def around(n: int, p: int, *new: tuple) -> tuple:
-    """Context segments that replace position ``p`` of ``n`` by the ``new`` sources."""
-    return ("run", 0, p), *new, ("run", p + 1, n)
-
-
 def runs(lo: int, hi: int, gone) -> list[tuple]:
     """Run segments over positions lo..hi-1 that skip the sorted ``gone``."""
     segments = []
@@ -195,16 +193,86 @@ def _in_range(positions, n: int) -> bool:
     return not positions or (0 <= min(positions) and max(positions) < n)
 
 
-def premise_plans(sig: Signature, seq: Sequent, node: UProof) -> list[Plan]:
+def promotes(sig: Signature, label: str, formulas) -> bool:
+    """Promotion's side condition on the formulas beside ``!label``."""
+    for g in formulas:
+        if not (isinstance(g, Qm) and leq(sig, label, g.label)):
+            return False
+    return True
+
+
+def _part(k: int):
+    return lambda n, p: [((("run", 0, p), ("part", p, k), ("run", p + 1, n)), NO_FOCUS)]
+
+
+def _drop(n: int, p: int) -> list[Plan]:
+    return [((("run", 0, p), ("run", p + 1, n)), NO_FOCUS)]
+
+
+def _unbounded(sig: Signature, ctx: Context, p: int, label: str) -> bool:
+    return is_unbounded(sig, label)
+
+
+#: One row per rule on one principal formula: the principal's type, the
+#: complaint at another type, the side condition ``(test(sig, ctx, p, label),
+#: reason, message)`` or None, and the premises of ``n`` formulas around ``p``.
+ROWS = {
+    TOP_RULE: (Top, "principal formula is not top", None, lambda n, p: []),
+    BOT_RULE: (Bot, "principal formula is not bot", None, _drop),
+    PAR: (Par, "principal formula is not a par", None, lambda n, p: [
+        ((("run", 0, p), ("part", p, 0), ("part", p, 1), ("run", p + 1, n)), NO_FOCUS)
+    ]),
+    WITH: (With, "principal formula is not a with", None, lambda n, p: [
+        ((("run", 0, p), ("part", p, 0), ("run", p + 1, n)), NO_FOCUS),
+        ((("run", 0, p), ("part", p, 1), ("run", p + 1, n)), NO_FOCUS),
+    ]),
+    PLUS1: (Plus, "principal formula is not a plus", None, _part(0)),
+    PLUS2: (Plus, "principal formula is not a plus", None, _part(1)),
+    QM: (Qm, "principal formula is not question-marked", None, _part(0)),
+    BANG: (Bang, "principal formula is not banged", (
+        lambda sig, ctx, p, label: promotes(sig, label, ctx[:p] + ctx[p + 1 :]),
+        Reason.PROMOTION_BLOCKED,
+        "promotion of !{0} over a context formula that is not question-marked at a label above {0!r}",
+    ), _part(0)),
+    WEAK: (Qm, "weakening needs a question-marked formula", (
+        _unbounded, Reason.STRUCTURAL_ON_BOUNDED, "label {0!r} does not admit weakening",
+    ), _drop),
+    CONTR: (Qm, "contraction needs a question-marked formula", (
+        _unbounded, Reason.STRUCTURAL_ON_BOUNDED, "label {0!r} does not admit contraction",
+    ), lambda n, p: [((("run", 0, p + 1), ("copy", p), ("run", p + 1, n)), NO_FOCUS)]),
+}
+
+
+def tensor_plans(n: int, p: int, left) -> list[Plan]:
+    """Tensor's premises at ``p``, the sorted ``left`` positions going left."""
+    cut = bisect(left, p)
+    below, above = left[:cut], left[cut:]
+    return [
+        ((("pick", tuple(below)), ("part", p, 0), ("pick", tuple(above))), NO_FOCUS),
+        ((*runs(0, p, below), ("part", p, 1), *runs(p + 1, n, above)), NO_FOCUS),
+    ]
+
+
+def premise_plans(sig: Signature, seq: Sequent, node) -> list[Plan]:
     """Validate one rule application and lay out its premises.
 
     Raises :class:`CheckError` (with an empty path; :func:`checked_nodes`
-    fills it in) when the node does not apply to ``seq``.
+    fills it in) when the node does not apply to ``seq``.  The focused
+    checker passes its own nodes for par, bot, with and top.
     """
     ctx = seq.context
     n = len(ctx)
     rule = node.rule
     p = node.principal
+    row = ROWS.get(rule)
+    if row is not None:
+        kind, complaint, side, plans = row
+        f = ctx[p] if p is not None and 0 <= p < n else _principal(ctx, p)  # which raises
+        if not isinstance(f, kind):
+            _fail(Reason.CONTEXT_MISMATCH, complaint)
+        if side is not None and not side[0](sig, ctx, p, f.label):
+            _fail(side[1], side[2].format(f.label))
+        return plans(n, p)
 
     match rule:
         case "init":
@@ -221,64 +289,8 @@ def premise_plans(sig: Signature, seq: Sequent, node: UProof) -> list[Plan]:
             if n != 1 or type(ctx[0]) is not One:
                 _fail(Reason.CONTEXT_MISMATCH, "the unit rule closes exactly |- 1")
             return []
-        case "top":
-            if not isinstance(_principal(ctx, p), Top):
-                _fail(Reason.CONTEXT_MISMATCH, "principal formula is not top")
-            return []
-        case "par":
-            if not isinstance(_principal(ctx, p), Par):
-                _fail(Reason.CONTEXT_MISMATCH, "principal formula is not a par")
-            return [(around(n, p, ("part", p, 0), ("part", p, 1)), NO_FOCUS)]
-        case "bot":
-            if not isinstance(_principal(ctx, p), Bot):
-                _fail(Reason.CONTEXT_MISMATCH, "principal formula is not bot")
-            return [(around(n, p), NO_FOCUS)]
-        case "with":
-            if not isinstance(_principal(ctx, p), With):
-                _fail(Reason.CONTEXT_MISMATCH, "principal formula is not a with")
-            left, right = around(n, p, ("part", p, 0)), around(n, p, ("part", p, 1))
-            return [(left, NO_FOCUS), (right, NO_FOCUS)]
-        case "plus1" | "plus2":
-            if not isinstance(_principal(ctx, p), Plus):
-                _fail(Reason.CONTEXT_MISMATCH, "principal formula is not a plus")
-            k = 0 if rule == "plus1" else 1
-            return [(around(n, p, ("part", p, k)), NO_FOCUS)]
-        case "qm":
-            if not isinstance(_principal(ctx, p), Qm):
-                _fail(Reason.CONTEXT_MISMATCH, "principal formula is not question-marked")
-            return [(around(n, p, ("part", p, 0)), NO_FOCUS)]
-        case "bang":
-            f = _principal(ctx, p)
-            if not isinstance(f, Bang):
-                _fail(Reason.CONTEXT_MISMATCH, "principal formula is not banged")
-            for i in range(n):
-                if i == p:
-                    continue
-                g = ctx[i]
-                if not isinstance(g, Qm) or not leq(sig, f.label, g.label):
-                    _fail(
-                        Reason.PROMOTION_BLOCKED,
-                        f"promotion of !{f.label} over a context formula that is not "
-                        f"question-marked at a label above {f.label!r}",
-                    )
-            return [(around(n, p, ("part", p, 0)), NO_FOCUS)]
-        case "weak":
-            f = _principal(ctx, p)
-            if not isinstance(f, Qm):
-                _fail(Reason.CONTEXT_MISMATCH, "weakening needs a question-marked formula")
-            if not is_unbounded(sig, f.label):
-                _fail(Reason.STRUCTURAL_ON_BOUNDED, f"label {f.label!r} does not admit weakening")
-            return [(around(n, p), NO_FOCUS)]
-        case "contr":
-            f = _principal(ctx, p)
-            if not isinstance(f, Qm):
-                _fail(Reason.CONTEXT_MISMATCH, "contraction needs a question-marked formula")
-            if not is_unbounded(sig, f.label):
-                _fail(Reason.STRUCTURAL_ON_BOUNDED, f"label {f.label!r} does not admit contraction")
-            return [((("run", 0, p + 1), ("copy", p), ("run", p + 1, n)), NO_FOCUS)]
         case "tensor":
-            f = _principal(ctx, p)
-            if not isinstance(f, Tensor):
+            if not isinstance(_principal(ctx, p), Tensor):
                 _fail(Reason.CONTEXT_MISMATCH, "principal formula is not a tensor")
             if node.split is None:
                 _fail(Reason.CONTEXT_MISMATCH, "tensor needs a split")
@@ -287,13 +299,7 @@ def premise_plans(sig: Signature, seq: Sequent, node: UProof) -> list[Plan]:
                 _fail(Reason.CONTEXT_MISMATCH, "tensor split repeats a position")
             if not _in_range(split, n) or p in split:
                 _fail(Reason.CONTEXT_MISMATCH, "tensor split positions out of range")
-            left = sorted(split)
-            cut = bisect(left, p)
-            below, above = left[:cut], left[cut:]
-            return [
-                ((("pick", tuple(below)), ("part", p, 0), ("pick", tuple(above))), NO_FOCUS),
-                ((*runs(0, p, below), ("part", p, 1), *runs(p + 1, n, above)), NO_FOCUS),
-            ]
+            return tensor_plans(n, p, sorted(split))
         case _:
             _fail(Reason.CONTEXT_MISMATCH, f"unknown rule tag {rule!r}")
 
@@ -452,52 +458,48 @@ def search_unfocused(
     return None
 
 
-#: Rules on one principal formula of a type, in the order the oracle tries them.
-_LOGICAL_MOVES = (
-    (Top, (TOP_RULE,)), (Bot, (BOT_RULE,)), (Par, (PAR,)), (With, (WITH,)), (Plus, (PLUS1, PLUS2)), (Qm, (QM,)),
-)
+#: The one-principal rules the oracle tries before tensor, in order, in groups
+#: that share a row's type and side condition: plus1 and plus2 alternate per position.
+_LOGICAL_MOVES = ((TOP_RULE,), (BOT_RULE,), (PAR,), (WITH,), (PLUS1, PLUS2), (QM,), (BANG,))
 
 
 def _moves(
     sig: Signature, table: dict[int, int], ctx: Context, contr_left: int
-) -> Iterator[tuple[UProof, int]]:
+) -> Iterator[tuple[UProof, int, list[Plan]]]:
     """All rule applications at ``ctx`` with distinct premises, deterministically
-    ordered: principals only at :func:`~selogic.formulas.class_firsts`."""
+    ordered, as ``(head, contractions, plans)``: principals only at
+    :func:`~selogic.formulas.class_firsts`, each picked and laid out by its
+    :data:`ROWS` row or :func:`tensor_plans`, as :func:`premise_plans` would."""
     n = len(ctx)
     if n == 2:
         for i, j in ((0, 1), (1, 0)):
             a, b = ctx[i], ctx[j]
             if isinstance(a, Atom) and isinstance(b, NegAtom) and a.name == b.name:
-                yield UProof(INIT, pair=(i, j)), 0
+                yield UProof(INIT, pair=(i, j)), 0, []
     if n == 1 and type(ctx[0]) is One:
-        yield UProof(ONE_RULE), 0
+        yield UProof(ONE_RULE), 0, []
     firsts = [(p, ctx[p]) for p in class_firsts(table, ctx)]
-    for kind, rules in _LOGICAL_MOVES:
-        for p, f in firsts:
-            if isinstance(f, kind):
-                for rule in rules:
-                    yield UProof(rule, principal=p), 0
-    for p, f in firsts:
-        if isinstance(f, Bang) and all(
-            isinstance(g, Qm) and leq(sig, f.label, g.label)
-            for i, g in enumerate(ctx)
-            if i != p
-        ):
-            yield UProof(BANG, principal=p), 0
+    yield from _row_moves(sig, ctx, firsts, _LOGICAL_MOVES, 0)
     for p, f in firsts:
         if isinstance(f, Tensor):
             others = [i for i in range(n) if i != p]
             for split in tensor_splits(others, [table[id(ctx[i])] for i in others]):
-                yield UProof(TENSOR, principal=p, split=split), 0
+                yield UProof(TENSOR, principal=p, split=split), 0, tensor_plans(n, p, split)
     # structural moves come last so the first derivation found is one that
     # did not duplicate or discard anything it could avoid touching
     if contr_left > 0:
+        yield from _row_moves(sig, ctx, firsts, ((CONTR,),), 1)
+    yield from _row_moves(sig, ctx, firsts, ((WEAK,),), 0)
+
+
+def _row_moves(sig: Signature, ctx: Context, firsts, groups, cost: int):
+    n = len(ctx)
+    for rules in groups:
+        kind, _, side, _ = ROWS[rules[0]]
         for p, f in firsts:
-            if isinstance(f, Qm) and is_unbounded(sig, f.label):
-                yield UProof(CONTR, principal=p), 1
-    for p, f in firsts:
-        if isinstance(f, Qm) and is_unbounded(sig, f.label):
-            yield UProof(WEAK, principal=p), 0
+            if isinstance(f, kind) and (side is None or side[0](sig, ctx, p, f.label)):
+                for rule in rules:
+                    yield UProof(rule, principal=p), cost, ROWS[rule][3](n, p)
 
 
 def tensor_splits(rest: list[int], classes: list[int]) -> list[tuple[int, ...]]:
@@ -552,8 +554,8 @@ def _derivations(
         if rules_left <= rl and contr_left <= cl:
             return
     yielded = False
-    for head, ccost in _moves(sig, table, seq.context, contr_left):
-        prems = [materialize(plan, seq) for plan in premise_plans(sig, seq, head)]
+    for head, ccost, plans in _moves(sig, table, seq.context, contr_left):
+        prems = [materialize(plan, seq) for plan in plans]
         own = head.rule, head.principal, head.pair, head.split
         if not prems:
             yielded = True

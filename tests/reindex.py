@@ -5,7 +5,7 @@ context, and two unit tests check that derivability depends only on the
 multiset.  It runs on the same premise plans as the checker.
 """
 
-from selogic.formulas import Context, FSequent
+from selogic.formulas import Context, Sequent
 from selogic.signatures import Signature
 from selogic.unfocused import NO_FOCUS, Occurrence, UProof, assemble, materialize, premise_plans
 
@@ -23,7 +23,7 @@ def permute_proof(sig: Signature, ctx: Context, proof: UProof, perm: tuple[int, 
     :func:`assemble` builds the result.
     """
     order: list[tuple[list, int]] = []
-    pending = [(FSequent(ctx), proof, perm)]
+    pending = [(Sequent(ctx), proof, perm)]
     while pending:
         seq, proof, perm = pending.pop()
         inv = [0] * len(perm)
@@ -38,7 +38,7 @@ def permute_proof(sig: Signature, ctx: Context, proof: UProof, perm: tuple[int, 
         permuted = ((("pick", perm),), NO_FOCUS)
         old_plans = premise_plans(sig, seq, proof)
         new_plans = premise_plans(sig, materialize(permuted, seq), UProof(*new_head))
-        tags = FSequent(tuple(map(Occurrence, seq.context)))
+        tags = Sequent(tuple(map(Occurrence, seq.context)))
         new_tags = materialize(permuted, tags)
         order.append(([new_head], len(proof.premises)))
         for k in range(len(proof.premises) - 1, -1, -1):

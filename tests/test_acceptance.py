@@ -26,7 +26,6 @@ from selogic.focusing import (
     FPLUS2,
     FTENSOR,
     FProof,
-    FSequent,
     LDECIDE,
     UDECIDE,
     check_focused,
@@ -113,7 +112,7 @@ def test_criterion_1_adequacy_corpus():
         halted = isinstance(result, Halted)
         budget = _decide_budget(init, result.trace) if halted else NON_HALTING_BUDGET
         bundle = encode_halting(m, init)
-        out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=budget)
+        out = prove_focused(bundle.signature, Sequent(bundle.goal), max_decides=budget)
         if isinstance(out, Proved) != halted:
             mismatches.append(name)
     assert not mismatches
@@ -131,7 +130,7 @@ def test_criterion_1_empty_trace_halter():
     result = run(m, init, 200)
     assert isinstance(result, Halted) and result.trace == ()
     bundle = encode_halting(m, init)
-    out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=3)
+    out = prove_focused(bundle.signature, Sequent(bundle.goal), max_decides=3)
     assert isinstance(out, Proved)
 
 
@@ -145,7 +144,7 @@ def test_criterion_2_prover_traces_match_the_simulator():
         result = run(m, init, 200)
         bundle = encode_halting(m, init)
         budget = _decide_budget(init, result.trace)
-        out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=budget)
+        out = prove_focused(bundle.signature, Sequent(bundle.goal), max_decides=budget)
         assert isinstance(out, Proved), name
         assert trace_from_proof(bundle, out.proof) == result.trace, name
         checked += 1
@@ -163,7 +162,7 @@ F_NO_PRINCIPAL = (FPLUS1, FPLUS2, BLUR)
 
 def _premises(sig, ctx, node):
     """The premise contexts of one unfocused rule, through the plan kernel."""
-    seq = FSequent(ctx)
+    seq = Sequent(ctx)
     return tuple(materialize(plan, seq).context for plan in premise_plans(sig, seq, node))
 
 
@@ -245,7 +244,7 @@ def _sample_certificates():
         m, init = load_corpus(name)
         trace = run(m, init, 200).trace
         bundle = encode_halting(m, init)
-        goal = FSequent(bundle.goal)
+        goal = Sequent(bundle.goal)
         fp = proof_from_trace(bundle, trace)
         focused.append((bundle.signature, goal, fp))
         unfocused.append((bundle.signature, Sequent(bundle.goal), defocus(fp, bundle.signature, goal)))
@@ -253,9 +252,9 @@ def _sample_certificates():
     while len(focused) < 25:
         sig = random_signature(rng)
         ctx = random_context(rng, sig)
-        out = prove_focused(sig, FSequent(ctx), max_decides=6, max_nodes=40_000)
+        out = prove_focused(sig, Sequent(ctx), max_decides=6, max_nodes=40_000)
         if isinstance(out, Proved):
-            focused.append((sig, FSequent(ctx), out.proof))
+            focused.append((sig, Sequent(ctx), out.proof))
     while len(unfocused) < 25:
         sig = random_signature(rng)
         ctx = random_context(rng, sig)
@@ -374,7 +373,7 @@ def test_criterion_4_unfocused_proofs_imply_focused_proofs():
 
     u_proved = f_proved = raised = 0
     for ctx in cases:
-        seq, fseq = Sequent(ctx), FSequent(ctx)
+        seq, fseq = Sequent(ctx), Sequent(ctx)
         uproof = search_unfocused(sig, seq, max_rules=40, max_contractions=6)
         fout = prove_focused(sig, fseq, max_decides=8)
         if isinstance(fout, Proved):
@@ -409,7 +408,7 @@ def test_criterion_5_bounded_decide_first_never_proves():
     for name in sorted(corpus_names()):
         m, init = load_corpus(name)
         bundle = encode_halting(m, init)
-        goal = FSequent(bundle.goal)
+        goal = Sequent(bundle.goal)
         for p, f in enumerate(bundle.goal):
             if not (isinstance(f, Qm) and not is_unbounded(bundle.signature, f.label)):
                 continue
@@ -429,19 +428,19 @@ def test_criterion_6_promotion_side_condition_examples():
     sig = encoding_signature()
 
     # blocked: b is not below a, so !b cannot promote over a ?a formula
-    goal = FSequent((Qm("a", Atom("x")),), Bang("b", Top()))
+    goal = Sequent((Qm("a", Atom("x")),), Bang("b", Top()))
     bad = FProof(FBANG, kept=(0,), premises=(FProof(uf.TOP_RULE, principal=1),))
     with pytest.raises(CheckError) as e:
         check_focused(sig, goal, bad)
     assert e.value.reason is Reason.PROMOTION_BLOCKED
 
     # admitted: every kept label (inf and b itself) sits at or above b
-    goal = FSequent((Qm("inf", Atom("x")), Qm("b", Atom("y"))), Bang("b", Top()))
+    goal = Sequent((Qm("inf", Atom("x")), Qm("b", Atom("y"))), Bang("b", Top()))
     ok = FProof(FBANG, kept=(0, 1), premises=(FProof(uf.TOP_RULE, principal=2),))
     check_focused(sig, goal, ok)
 
     # lingering linear: the focused axiom cannot absorb a bounded leftover
-    goal = FSequent((NegAtom("x"), Qm("b", Atom("y"))), Atom("x"))
+    goal = Sequent((NegAtom("x"), Qm("b", Atom("y"))), Atom("x"))
     with pytest.raises(CheckError) as e:
         check_focused(sig, goal, FProof(FINIT, principal=0))
     assert e.value.reason is Reason.LINGERING_LINEAR

@@ -16,7 +16,7 @@ from selogic.certificates import (
 )
 from selogic.corpus import load_corpus
 from selogic.errors import ParseError
-from selogic.focusing import BLUR, DECIDE, FINIT, FONE, FProof, FSequent, FTENSOR, check_focused, defocus
+from selogic.focusing import BLUR, DECIDE, FINIT, FONE, FProof, FTENSOR, check_focused, defocus
 from selogic.formulas import Sequent
 from selogic.cli import main
 from selogic.minsky import Configuration, print_machine, run
@@ -87,7 +87,7 @@ def corpus_proofs():
         trace = run(m, init, 200).trace
         bundle = encode_halting(m, init)
         fp = proof_from_trace(bundle, trace)
-        up = defocus(fp, bundle.signature, FSequent(bundle.goal))
+        up = defocus(fp, bundle.signature, Sequent(bundle.goal))
         out[name] = (bundle, fp, up)
     return out
 
@@ -99,7 +99,7 @@ def test_focused_roundtrip_on_corpus(name, corpus_proofs):
     again = parse_focused_proof(text)
     assert again == fp
     assert print_focused_proof(again) == text
-    check_focused(bundle.signature, FSequent(bundle.goal), again)
+    check_focused(bundle.signature, Sequent(bundle.goal), again)
 
 
 @pytest.mark.parametrize("name", HALTING)
@@ -117,7 +117,7 @@ def _ladder_proofs(name: str, a: int):
     init = Configuration(init.state, a, 0)
     bundle = encode_halting(m, init)
     fp = proof_from_trace(bundle, run(m, init, 10_000).trace)
-    return fp, defocus(fp, bundle.signature, FSequent(bundle.goal))
+    return fp, defocus(fp, bundle.signature, Sequent(bundle.goal))
 
 
 # sha256 of the printed focused and unfocused certificates: the layout must
@@ -310,7 +310,7 @@ def test_six_hundred_step_roundtrip_under_the_default_recursion_limit(tmp_path, 
     assert "agreement: yes" in out
     bundle = encode_halting(m, init)
     fp = proof_from_trace(bundle, run(m, init, 1000).trace)
-    up = defocus(fp, bundle.signature, FSequent(bundle.goal))
+    up = defocus(fp, bundle.signature, Sequent(bundle.goal))
     assert _same_tree(parse_focused_proof(print_focused_proof(fp)), fp)
     assert _same_tree(parse_unfocused_proof(print_unfocused_proof(up)), up)
     assert time.perf_counter() - start < 30.0
@@ -330,7 +330,7 @@ def test_twenty_four_hundred_step_roundtrip_under_the_default_recursion_limit(tm
     assert "agreement: yes" in out
     bundle = encode_halting(m, init)
     fp = proof_from_trace(bundle, run(m, init, 3000).trace)
-    up = defocus(fp, bundle.signature, FSequent(bundle.goal))
+    up = defocus(fp, bundle.signature, Sequent(bundle.goal))
     assert _same_tree(parse_focused_proof(print_focused_proof(fp)), fp)
     assert _same_tree(parse_unfocused_proof(print_unfocused_proof(up)), up)
     assert time.perf_counter() - start < 30.0
@@ -342,7 +342,7 @@ def test_proof_nodes_compare_hash_and_print_at_2402_steps():
     init = Configuration("q0", 2400, 0)
     bundle = encode_halting(m, init)
     fp = proof_from_trace(bundle, run(m, init, 3000).trace)
-    up = defocus(fp, bundle.signature, FSequent(bundle.goal))
+    up = defocus(fp, bundle.signature, Sequent(bundle.goal))
     for proof, printer, parser in (
         (fp, print_focused_proof, parse_focused_proof),
         (up, print_unfocused_proof, parse_unfocused_proof),

@@ -4,7 +4,8 @@ import pytest
 
 from selogic.certificates import parse_focused_proof
 from selogic.cli import main
-from selogic.focusing import FSequent, check_focused
+from selogic.focusing import check_focused
+from selogic.formulas import Sequent
 from selogic.parsing import parse_sequent, parse_signature, print_signature
 from selogic.reduction import encode_halting, encoding_signature
 from selogic.corpus import load_corpus
@@ -84,7 +85,7 @@ def test_prove_writes_checkable_proof(tmp_path, capsys):
     m, init = load_corpus("halt_only")
     bundle = encode_halting(m, init)
     proof = parse_focused_proof(proof_f.read_text())
-    check_focused(bundle.signature, FSequent(bundle.goal), proof)
+    check_focused(bundle.signature, Sequent(bundle.goal), proof)
 
 
 def test_prove_budget_exhaustion(capsys):

@@ -13,7 +13,6 @@ from selogic.focusing import (
     FONE,
     FPLUS1,
     FPLUS2,
-    FSequent,
     FProof,
     FTENSOR,
     LDECIDE,
@@ -42,7 +41,7 @@ from selogic.unfocused import (
 
 
 def fgoal(text, focus=None):
-    return FSequent(parse_sequent(text).context, focus)
+    return Sequent(parse_sequent(text).context, focus)
 
 
 def rejects(sig, goal, proof, reason):
@@ -189,10 +188,10 @@ def test_plan_kernel_agrees_with_per_position_premises(seed):
     exponentials = tuple(g for g in ctx if isinstance(g, Qm))
     compared = 0
     for focused, seq in (
-        (False, FSequent(ctx)),
-        (True, FSequent(ctx)),
-        (True, FSequent(ctx, focus)),
-        (True, FSequent(exponentials, promoted)),
+        (False, Sequent(ctx)),
+        (True, Sequent(ctx)),
+        (True, Sequent(ctx, focus)),
+        (True, Sequent(exponentials, promoted)),
     ):
         plans_of = fpremise_plans if focused else premise_plans
         for node in _candidate_nodes(rng, sig, seq, focused):
@@ -252,7 +251,7 @@ def test_ldecide_consumes_its_formula(sig):
     goal = fgoal("|- ?u ~x, x")
     node = FProof(LDECIDE, principal=0)
     (prem,) = (materialize(plan, goal) for plan in fpremise_plans(sig, goal, node))
-    assert prem == FSequent((parse_formula("x"),), parse_formula("~x"))
+    assert prem == Sequent((parse_formula("x"),), parse_formula("~x"))
     proof = FProof(
         LDECIDE,
         principal=0,
@@ -290,21 +289,21 @@ def test_counters_walk_spines_deeper_than_the_recursion_limit():
 
 
 def test_blur_only_on_negative_focus(sig):
-    goal = FSequent(parse_sequent("|- ~x").context, parse_formula("x"))
+    goal = Sequent(parse_sequent("|- ~x").context, parse_formula("x"))
     rejects(sig, goal, FProof(BLUR, premises=(FIN0,)), Reason.BLUR_ON_POSITIVE)
 
 
 def test_ftensor_splits_and_copies(sig):
     goal = fgoal("|- ~x, ~y, ?inf z")
     node = FProof(FTENSOR, kept=(2,), split=(0,))
-    focused = FSequent(goal.context, parse_formula("(x * y)"))
+    focused = Sequent(goal.context, parse_formula("(x * y)"))
     left, right = (materialize(plan, focused) for plan in fpremise_plans(sig, focused, node))
-    assert left == FSequent(parse_sequent("|- ~x, ?inf z").context, parse_formula("x"))
-    assert right == FSequent(parse_sequent("|- ~y, ?inf z").context, parse_formula("y"))
+    assert left == Sequent(parse_sequent("|- ~x, ?inf z").context, parse_formula("x"))
+    assert right == Sequent(parse_sequent("|- ~y, ?inf z").context, parse_formula("y"))
 
 
 def test_ftensor_rejects_copying_bounded_formulas(sig):
-    focused = FSequent(parse_sequent("|- ~x, ~y, ?u z").context, parse_formula("(x * y)"))
+    focused = Sequent(parse_sequent("|- ~x, ~y, ?u z").context, parse_formula("(x * y)"))
     with pytest.raises(CheckError) as e:
         fpremise_plans(sig, focused, FProof(FTENSOR, kept=(2,), split=(0,)))
     assert e.value.reason is Reason.COPIED_BOUNDED
@@ -329,10 +328,10 @@ def test_full_tensor_proof(sig):
 
 def test_fbang_positive_and_blocked_cases(sig):
     # !u may keep ?inf (u <= inf) but never a bounded ?v that is not above u
-    focused = FSequent(parse_sequent("|- ?inf y").context, parse_formula("!u 1"))
+    focused = Sequent(parse_sequent("|- ?inf y").context, parse_formula("!u 1"))
     plans = fpremise_plans(sig, focused, FProof(FBANG, kept=(0,)))
     assert len(plans) == 1
-    blocked = FSequent(parse_sequent("|- ?v y").context, parse_formula("!u 1"))
+    blocked = Sequent(parse_sequent("|- ?v y").context, parse_formula("!u 1"))
     with pytest.raises(CheckError) as e:
         fpremise_plans(sig, blocked, FProof(FBANG, kept=(0,)))
     assert e.value.reason is Reason.PROMOTION_BLOCKED
@@ -376,7 +375,7 @@ def test_shared_negative_rules_need_no_focus(sig):
     check_focused(sig, goal, proof)
     rejects(
         sig,
-        FSequent(parse_sequent("|- (1 | bot), ~x").context, parse_formula("x")),
+        Sequent(parse_sequent("|- (1 | bot), ~x").context, parse_formula("x")),
         proof,
         Reason.CONTEXT_MISMATCH,
     )

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from selogic.corpus import load_corpus
 from selogic.certificates import print_focused_proof
-from selogic.focusing import FSequent, check_focused, defocus
+from selogic.focusing import check_focused, defocus
 from selogic.generators import random_context, random_signature
 from selogic.minsky import Configuration, Halted, run
 from selogic.formulas import Sequent
@@ -29,7 +29,7 @@ HALTING_BUDGETS = {
 
 
 def fgoal(text):
-    return FSequent(parse_sequent(text).context)
+    return Sequent(parse_sequent(text).context)
 
 
 def test_tiny_sequents(sig):
@@ -163,9 +163,9 @@ def test_memo_does_not_change_the_verdict(sig):
 def test_halting_corpus_goals_are_proved(name, budget):
     m, init = load_corpus(name)
     bundle = encode_halting(m, init)
-    out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=budget)
+    out = prove_focused(bundle.signature, Sequent(bundle.goal), max_decides=budget)
     assert isinstance(out, Proved), name
-    check_focused(bundle.signature, FSequent(bundle.goal), out.proof)
+    check_focused(bundle.signature, Sequent(bundle.goal), out.proof)
     # the cap bounds decides per branch, not in the whole tree
     assert out.stats.deepest_decides <= budget
 
@@ -174,7 +174,7 @@ def test_halting_corpus_goals_are_proved(name, budget):
 def test_diverging_goals_exhaust_within_the_cap(name):
     m, init = load_corpus(name)
     bundle = encode_halting(m, init)
-    out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=12)
+    out = prove_focused(bundle.signature, Sequent(bundle.goal), max_decides=12)
     assert isinstance(out, Exhausted), name
     assert not out.hit_node_cap
 
@@ -182,7 +182,7 @@ def test_diverging_goals_exhaust_within_the_cap(name):
 def test_stuck_goal_is_definitively_unprovable():
     m, init = load_corpus("stuck")
     bundle = encode_halting(m, init)
-    out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=8)
+    out = prove_focused(bundle.signature, Sequent(bundle.goal), max_decides=8)
     assert isinstance(out, Exhausted)
     assert out.complete
 
@@ -193,7 +193,7 @@ def test_already_halted_goal_is_definitively_unprovable():
     m, init = load_corpus("already_halted")
     bundle = encode_halting(m, init)
     assert run(m, init, max_steps=10) == Halted(())
-    out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=8)
+    out = prove_focused(bundle.signature, Sequent(bundle.goal), max_decides=8)
     assert isinstance(out, Exhausted)
     assert out.complete
 
@@ -203,7 +203,7 @@ def test_already_halted_goal_is_definitively_unprovable():
 def test_proofs_always_check(seed):
     rng = random.Random(seed)
     s = random_signature(rng)
-    goal = FSequent(random_context(rng, s))
+    goal = Sequent(random_context(rng, s))
     out = prove_focused(s, goal, max_decides=6, max_nodes=60_000)
     if isinstance(out, Proved):
         check_focused(s, goal, out.proof)
@@ -218,7 +218,7 @@ def test_duplicated_entries_prove_alike_with_and_without_memo(seed):
     ctx = list(random_context(rng, s))
     for _ in range(rng.randint(1, 3)):
         ctx.insert(rng.randint(0, len(ctx)), rng.choice(ctx))
-    goal = FSequent(tuple(ctx))
+    goal = Sequent(tuple(ctx))
     with_memo = prove_focused(s, goal, max_decides=4, max_nodes=20_000)
     without = prove_focused(s, goal, max_decides=4, max_nodes=20_000, use_memo=False)
     if isinstance(without, Exhausted) and without.hit_node_cap:
@@ -242,7 +242,7 @@ def test_memo_keeps_the_answer_and_never_adds_rounds(seed):
     ctx = list(random_context(rng, s))
     for _ in range(rng.randint(1, 3)):
         ctx.insert(rng.randint(0, len(ctx)), rng.choice(ctx))
-    goal = FSequent(tuple(ctx))
+    goal = Sequent(tuple(ctx))
     with_memo = prove_focused(s, goal, max_decides=6, max_nodes=20_000)
     without = prove_focused(s, goal, max_decides=6, max_nodes=20_000, use_memo=False)
     if isinstance(without, Exhausted) and without.hit_node_cap:
@@ -263,8 +263,8 @@ def test_equal_formulas_as_distinct_objects_prove_alike():
     assert copied == shared
     tokens = [i for i, f in enumerate(copied) if copied.count(f) > 1]
     assert tokens and len({id(copied[i]) for i in tokens}) == len(tokens)
-    a = prove_focused(bundle.signature, FSequent(shared), max_decides=7)
-    b = prove_focused(bundle.signature, FSequent(copied), max_decides=7)
+    a = prove_focused(bundle.signature, Sequent(shared), max_decides=7)
+    b = prove_focused(bundle.signature, Sequent(copied), max_decides=7)
     assert isinstance(a, Proved) and isinstance(b, Proved)
     assert a.proof == b.proof and a.stats == b.stats
 
@@ -277,19 +277,19 @@ def test_drain_a_at_three_stays_under_its_node_count():
     m, init = load_corpus("drain_a")
     assert init.a == 3
     bundle = encode_halting(m, init)
-    out = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=8)
+    out = prove_focused(bundle.signature, Sequent(bundle.goal), max_decides=8)
     assert isinstance(out, Proved)
     assert out.stats.nodes <= 309
     assert out.stats.round_nodes == [1, 14, 17, 38, 55, 65, 66, 53]
     assert sum(out.stats.round_nodes) == out.stats.nodes
-    again = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=8)
+    again = prove_focused(bundle.signature, Sequent(bundle.goal), max_decides=8)
     assert again.stats.filtered == out.stats.filtered > 0
 
 
 def test_drain_a_at_twenty_is_proved_within_the_default_node_cap():
     m, init = load_corpus("drain_a")
     bundle = encode_halting(m, Configuration(init.state, 20, init.b))
-    goal = FSequent(bundle.goal)
+    goal = Sequent(bundle.goal)
     out = prove_focused(bundle.signature, goal, max_decides=25)
     assert isinstance(out, Proved)
     check_focused(bundle.signature, goal, out.proof)
@@ -305,14 +305,14 @@ def test_shuffled_context_proves_alike(seed):
     ctx = list(random_context(rng, s))
     shuffled = ctx[:]
     rng.shuffle(shuffled)
-    a = prove_focused(s, FSequent(tuple(ctx)), max_decides=5, max_nodes=20_000)
-    b = prove_focused(s, FSequent(tuple(shuffled)), max_decides=5, max_nodes=20_000)
+    a = prove_focused(s, Sequent(tuple(ctx)), max_decides=5, max_nodes=20_000)
+    b = prove_focused(s, Sequent(tuple(shuffled)), max_decides=5, max_nodes=20_000)
     if any(isinstance(out, Exhausted) and out.hit_node_cap for out in (a, b)):
         return  # one order ran out of nodes first; nothing to compare
     assert type(a) is type(b)
     if isinstance(a, Proved):
         assert a.stats.rounds == b.stats.rounds
-        check_focused(s, FSequent(tuple(shuffled)), b.proof)
+        check_focused(s, Sequent(tuple(shuffled)), b.proof)
 
 
 # Every ftensor lists positions of its own context, which holds the copied
@@ -350,7 +350,7 @@ NESTED_CASES = [
 @pytest.mark.parametrize("context,focus,text", NESTED_CASES, ids=["right-nested", "left-nested"])
 def test_nested_tensor_lists_check_in_both_calculi(sig, context, focus, text):
     ctx = parse_sequent(context).context
-    goal = FSequent(ctx, parse_formula(focus))
+    goal = Sequent(ctx, parse_formula(focus))
     out = prove_focused(sig, goal, max_decides=4)
     assert isinstance(out, Proved)
     assert print_focused_proof(out.proof) == text

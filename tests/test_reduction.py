@@ -12,7 +12,6 @@ from selogic.errors import (
 from selogic.focusing import (
     UDECIDE,
     FProof,
-    FSequent,
     check_focused,
     count_decides,
     defocus,
@@ -122,7 +121,7 @@ def test_certificates_from_traces(name):
     out = run(m, init, max_steps=200)
     assert isinstance(out, Halted)
     cert = proof_from_trace(bundle, out.trace)
-    goal = FSequent(bundle.goal)
+    goal = Sequent(bundle.goal)
     check_focused(bundle.signature, goal, cert)
     assert count_decides(cert) == decides
     if fsize is not None:
@@ -176,7 +175,7 @@ def test_prover_proofs_extract_to_the_simulator_trace():
         bundle = encode_halting(m, init)
         out = run(m, init, max_steps=200)
         budget = {"halt_only": 4, "incra_halt": 6, "gated_zero": 5}[name]
-        proved = prove_focused(bundle.signature, FSequent(bundle.goal), max_decides=budget)
+        proved = prove_focused(bundle.signature, Sequent(bundle.goal), max_decides=budget)
         assert isinstance(proved, Proved)
         assert trace_from_proof(bundle, proved.proof) == out.trace, name
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from selogic.certificates import print_unfocused_proof
 from selogic.corpus import load_corpus
 from selogic.errors import CheckError, Reason, UnknownLabel
-from selogic.focusing import FProof, FSequent, check_focused, defocus
+from selogic.focusing import FProof, check_focused, defocus
 from selogic.formulas import (
     ZERO,
     Atom,
@@ -85,7 +85,7 @@ def test_init_rejections(sig):
 def test_tensor_split_routes_the_context(sig):
     goal = parse_sequent("|- (x * y), ~x, ~y")
     node = UProof(TENSOR, principal=0, split=(1,))
-    seq = FSequent(goal.context)
+    seq = Sequent(goal.context)
     prems = tuple(materialize(plan, seq).context for plan in premise_plans(sig, seq, node))
     assert prems == (ctx("x", "~x"), ctx("y", "~y"))
     check_unfocused(sig, goal, UProof(TENSOR, principal=0, split=(1,), premises=(INIT_01, INIT_01)))
@@ -106,6 +106,122 @@ def test_unknown_rule_tag(sig):
     goal = parse_sequent("|- x, ~x")
     err = rejects(sig, goal, UProof("decide", principal=0), Reason.CONTEXT_MISMATCH)
     assert (err.message, err.path) == ("unknown rule tag 'decide'", ())
+
+
+NOT_QM = "principal formula is not question-marked"
+BLOCKED = (
+    "promotion of !u over a context formula that is not question-marked at a label above 'u'"
+)
+
+# (goal, certificate, reason, message, path) for every way a rule of the
+# unfocused calculus rejects its node; the last four are the shared negative
+# rules under the focused checker, given a focus
+REJECTIONS = {
+    "top-type": ("|- x, ~x", UProof(TOP_RULE, principal=0), "principal formula is not top", ()),
+    "bot-type": ("|- x, ~x", UProof(BOT_RULE, principal=1), "principal formula is not bot", ()),
+    "par-type": ("|- x, ~x", UProof(PAR, principal=0), "principal formula is not a par", ()),
+    "with-type": ("|- x, ~x", UProof(WITH, principal=0), "principal formula is not a with", ()),
+    "plus1-type": ("|- x, ~x", UProof(PLUS1, principal=0), "principal formula is not a plus", ()),
+    "plus2-type": ("|- x, ~x", UProof(PLUS2, principal=1), "principal formula is not a plus", ()),
+    "qm-type": ("|- !u x, ~x", UProof(QM, principal=0), NOT_QM, ()),
+    "bang-type": ("|- ?u x, ~x", UProof(BANG, principal=0), "principal formula is not banged", ()),
+    "weak-type": (
+        "|- !inf x, 1", UProof(WEAK, principal=0), "weakening needs a question-marked formula", ()
+    ),
+    "contr-type": (
+        "|- x, ~x", UProof(CONTR, principal=1), "contraction needs a question-marked formula", ()
+    ),
+    "principal-none": ("|- x, ~x", UProof(PAR), "position None out of range for context of 2", ()),
+    "principal-past-the-end": (
+        "|- x, ~x", UProof(QM, principal=2), "position 2 out of range for context of 2", ()
+    ),
+    "principal-negative": (
+        "|- ?u x, 1", UProof(WEAK, principal=-1), "position -1 out of range for context of 2", ()
+    ),
+    "weak-bounded": (
+        "|- ?u x, 1",
+        UProof(WEAK, principal=0, premises=(UProof(ONE_RULE),)),
+        ("STRUCTURAL_ON_BOUNDED", "label 'u' does not admit weakening"),
+        (),
+    ),
+    "contr-bounded": (
+        "|- ?v x, 1",
+        UProof(CONTR, principal=0),
+        ("STRUCTURAL_ON_BOUNDED", "label 'v' does not admit contraction"),
+        (),
+    ),
+    "bang-label-not-above": (
+        "|- !u x, ?v ~x", UProof(BANG, principal=0), ("PROMOTION_BLOCKED", BLOCKED), ()
+    ),
+    "bang-bare-formula": (
+        "|- ~x, ?inf y, !u x", UProof(BANG, principal=2), ("PROMOTION_BLOCKED", BLOCKED), ()
+    ),
+    "init-no-pair": ("|- x, ~x", UProof(INIT), "init needs an (atom, negation) position pair", ()),
+    "init-three-formulas": (
+        "|- x, ~x, 1", INIT_01, "init closes exactly a two-formula context", ()
+    ),
+    "init-repeated-position": (
+        "|- x, ~x", UProof(INIT, pair=(0, 0)), "init closes exactly a two-formula context", ()
+    ),
+    "init-other-atom": ("|- x, ~y", INIT_01, "init needs an atom facing its negation", ()),
+    "init-orientation": ("|- x, ~x", INIT_10, "init needs an atom facing its negation", ()),
+    "one-two-formulas": ("|- 1, 1", UProof(ONE_RULE), "the unit rule closes exactly |- 1", ()),
+    "one-not-one": ("|- top", UProof(ONE_RULE), "the unit rule closes exactly |- 1", ()),
+    "tensor-type": (
+        "|- x, ~x", UProof(TENSOR, principal=0, split=()), "principal formula is not a tensor", ()
+    ),
+    "tensor-no-split": (
+        "|- (x * y), ~x, ~y", UProof(TENSOR, principal=0), "tensor needs a split", ()
+    ),
+    "tensor-repeated-split": (
+        "|- (x * y), ~x, ~y",
+        UProof(TENSOR, principal=0, split=(1, 1)),
+        "tensor split repeats a position",
+        (),
+    ),
+    "tensor-split-past-the-end": (
+        "|- (x * y), ~x, ~y",
+        UProof(TENSOR, principal=0, split=(3,)),
+        "tensor split positions out of range",
+        (),
+    ),
+    "tensor-split-takes-principal": (
+        "|- (x * y), ~x, ~y",
+        UProof(TENSOR, principal=0, split=(0, 1)),
+        "tensor split positions out of range",
+        (),
+    ),
+    "below-a-par": (
+        "|- (x | ~x)",
+        UProof(PAR, principal=0, premises=(UProof(QM, principal=1),)),
+        NOT_QM,
+        (0,),
+    ),
+    "right-of-a-with": (
+        "|- (1 & ?inf x)",
+        UProof(WITH, principal=0, premises=(UProof(ONE_RULE), UProof(BANG, principal=0))),
+        "principal formula is not banged",
+        (1,),
+    ),
+    "focused-par": ("|- (~x | ~y) ; x", FProof(PAR, principal=0), "par applies only without a focus", ()),
+    "focused-bot": ("|- bot ; x", FProof(BOT_RULE, principal=0), "bot applies only without a focus", ()),
+    "focused-with": ("|- (1 & 1) ; x", FProof(WITH, principal=0), "with applies only without a focus", ()),
+    "focused-top": ("|- top ; x", FProof(TOP_RULE, principal=0), "top applies only without a focus", ()),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_every_rule_rejection_is_pinned(sig, case):
+    text, proof, expected, path = REJECTIONS[case]
+    reason, message = expected if isinstance(expected, tuple) else ("CONTEXT_MISMATCH", expected)
+    if isinstance(proof, FProof):
+        context, focus = text.split(" ; ")
+        check, goal = check_focused, Sequent(parse_sequent(context).context, parse_formula(focus))
+    else:
+        check, goal = check_unfocused, parse_sequent(text)
+    with pytest.raises(CheckError) as e:
+        check(sig, goal, proof)
+    assert (e.value.reason.name, e.value.message, e.value.path) == (reason, message, path)
 
 
 def test_error_path_addresses_the_offending_premise(sig):
@@ -176,7 +292,7 @@ def test_structural_rules_only_on_unbounded_labels(sig):
 def test_contraction_copy_lands_after_the_original(sig):
     goal = parse_sequent("|- ?inf ~x, (x * x)")
     node = UProof(CONTR, principal=0)
-    seq = FSequent(goal.context)
+    seq = Sequent(goal.context)
     (prem,) = (materialize(plan, seq).context for plan in premise_plans(sig, seq, node))
     assert prem == ctx("?inf ~x", "?inf ~x", "(x * x)")
     proof = UProof(
@@ -313,7 +429,7 @@ def test_permute_proof_reindexes_a_six_hundred_step_certificate():
     init = Configuration("q0", 600, 0)
     bundle = encode_halting(m, init)
     sig, goal = bundle.signature, bundle.goal
-    proof = defocus(proof_from_trace(bundle, run(m, init, 1000).trace), sig, FSequent(goal))
+    proof = defocus(proof_from_trace(bundle, run(m, init, 1000).trace), sig, Sequent(goal))
     reverse = tuple(reversed(range(len(goal))))
     moved = permute_proof(sig, goal, proof, reverse)
     check_unfocused(sig, Sequent(tuple(goal[p] for p in reverse)), moved)
@@ -401,9 +517,12 @@ def test_oracle_moves_are_every_move_less_repeated_premises():
         contexts += 1
         for contr_left in (0, 1):
             expected = [(r, m) for r, m, _ in _reference_moves(s, seq, contr_left)]
-            heads = [head for head, _cost in _moves(s, table, seq.context, contr_left)]
-            got = [_premise_multisets(s, seq, head)[:2] for head in heads]
+            moves = list(_moves(s, table, seq.context, contr_left))
+            got = [_premise_multisets(s, seq, head)[:2] for head, _cost, _plans in moves]
             assert got == expected, print_sequent(seq)
+            # the oracle lays out its moves without validating them again
+            for head, _cost, plans in moves:
+                assert plans == premise_plans(s, seq, head), (print_sequent(seq), head)
         repeats += len(set(seq.context)) < len(seq.context)
     assert contexts >= 300 and repeats >= 50
 
