@@ -116,15 +116,19 @@ def _require_focus(focus: Formula | None, rule: str) -> Formula:
     return focus
 
 
+def copyable(sig: Signature, g: Formula) -> bool:
+    """An unbounded question-marked formula: ftensor may copy it to both
+    premises, and finit, f1 and fbang may discard it."""
+    return isinstance(g, Qm) and is_unbounded(sig, g.label)
+
+
 def _bystanders_unbounded(sig: Signature, ctx: Context, indices, context_of: str) -> None:
-    for i in indices:
-        g = ctx[i]
-        if not (isinstance(g, Qm) and is_unbounded(sig, g.label)):
-            _fail(
-                Reason.LINGERING_LINEAR,
-                f"{context_of} would discard a formula that is not an "
-                "unbounded question-marked formula",
-            )
+    if not all(copyable(sig, ctx[i]) for i in indices):
+        _fail(
+            Reason.LINGERING_LINEAR,
+            f"{context_of} would discard a formula that is not an "
+            "unbounded question-marked formula",
+        )
 
 
 def fpremise_plans(sig: Signature, fseq: Sequent, node: FProof) -> list[Plan]:
@@ -201,13 +205,11 @@ def fpremise_plans(sig: Signature, fseq: Sequent, node: FProof) -> list[Plan]:
                 _fail(Reason.CONTEXT_MISMATCH, "ftensor positions out of range")
             if kept & split:
                 _fail(Reason.CONTEXT_MISMATCH, "a position cannot be both copied and sent left")
-            for i in kept:
-                g = ctx[i]
-                if not (isinstance(g, Qm) and is_unbounded(sig, g.label)):
-                    _fail(
-                        Reason.COPIED_BOUNDED,
-                        "only unbounded question-marked formulas can be copied to both premises",
-                    )
+            if not all(copyable(sig, ctx[i]) for i in kept):
+                _fail(
+                    Reason.COPIED_BOUNDED,
+                    "only unbounded question-marked formulas can be copied to both premises",
+                )
             # left: the copied and the split positions; right: all but the split
             return [
                 ((("pick", tuple(sorted(kept | split))),), (("fpart", 0),)),

@@ -1,12 +1,13 @@
 """Bounded proof search in the focused calculus.
 
-The search runs the focusing discipline directly: with no focus it applies
-the leftmost invertible rule (those never need backtracking), and once the
-context is neutral it tries each decide flavour in a fixed order — ldecide,
-then udecide, then decide, positions left to right.  Under focus the rules
-are forced except for plus (two candidates) and tensor, which copies every
-unbounded question-marked formula to both premises and splits the remaining
-formulas between them.
+The search runs the focusing discipline directly.  Each kind of sequent
+yields the rule heads that can apply, and one loop tries them in order:
+with no focus, the leftmost invertible rule (those never need
+backtracking); on a neutral context, the decides — ldecide, then udecide,
+then decide, positions left to right; under focus, the forced rule (finit
+at each matching negated atom, f1, fbang or blur, none for zero) or plus's
+two.  The one exception is tensor, which copies every unbounded
+question-marked formula to both premises and splits the rest between them.
 
 The split is lazy, after the input/output model of Hodas & Miller (*Logic
 Programming in a Fragment of Intuitionistic Linear Logic*, I&C 1994) and
@@ -33,13 +34,13 @@ close only by finit against a bare negated atom of the context, and the
 tensors split the context, so each needs one of its own.  No negated atom
 appears under focus (``?u ~x`` becomes ``~x`` only after a blur), so a
 decide whose skeleton atoms are not contained, as a multiset, in the
-context's negated atoms can never succeed and is not tried.  A bare
-negated atom ~x is used up only by finit, against a focused x, or by a top;
-an fbang premise holds only question-marked formulas and the body, so no x
-and no top under a bang can reach it.  So a neutral sequent
-with a bare ~x, but no x and no top outside every bang, is dead; that test
-runs after the relevance filter.  A neutral sequent that is dead or has no
-decide left fails outright, not at the decide cap.
+context's negated atoms can never succeed and is not tried.  A bare negated
+atom ~x is consumed only by finit, against a focused x, or by a top; an
+fbang premise holds only question-marked formulas and the body, so no x and
+no top under a bang can reach it.  So a neutral sequent with a bare ~x, but
+no x and no top outside every bang, is dead; that test runs after the
+relevance filter.  A neutral sequent that is dead or has no decide left
+fails outright, not at the decide cap.
 
 Equal formulas give premises that are equal multisets, with one memo key,
 so a decide is offered only at the first formula of each equality class
@@ -49,25 +50,26 @@ only be a memo hit that returns the first one's cutoff.
 Because udecide keeps its formula, proofs can regress forever; the search
 is made terminating by a per-branch cap on decides, deepened iteratively
 from zero so the first proof found uses as few decides along any branch as
-possible.  A failure memo keyed on sequents as multisets makes the repeated
-rounds cheap; :func:`~selogic.formulas.intern_table` numbers the goal's
-formulas once per search, so its keys are small int tuples.  A failure that
-met a budget cutoff holds at any budget no larger than the one it was found
-at.  A failure that met none holds at every budget, so later rounds never
-search it again.  That is sound because a rule fails only through a premise
-that fails, and a larger budget can add a left outcome of a lazy tensor
-split only where a strict premise was cut off.  ``SearchStats.round_nodes``
-shows what each round still searches.  The decide candidates of a context
-depend only on its formulas in order, so they are worked out once per
-ordered context.  Everything is deterministic: the same call yields the
-same certificate.
+possible; a branch has spent the round's cap minus its budget.  A failure
+memo keyed on sequents as multisets makes the repeated rounds cheap;
+:func:`~selogic.formulas.intern_table` numbers the goal's formulas once per
+search, so its keys are small int tuples.  A failure that met a budget
+cutoff holds at any budget no larger than the one it was found at.  A
+failure that met none holds at every budget, so later rounds never search
+it again.  That is sound because a rule fails only through a premise that
+fails, and a larger budget can add a left outcome of a lazy tensor split
+only where a strict premise was cut off.  ``SearchStats.round_nodes`` shows
+what each round still searches.  The decide candidates of a context depend
+only on its formulas in order, so they are worked out once per ordered
+context.  Everything is deterministic: the same call yields the same
+certificate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 
 from .errors import CheckError
@@ -84,6 +86,7 @@ from .focusing import (
     LDECIDE,
     UDECIDE,
     FProof,
+    copyable,
     fpremise_plans,
     is_neutral,
 )
@@ -107,8 +110,8 @@ from .formulas import (
     intern_table,
 )
 from .records import Record, fill
-from .signatures import Signature, check_goal, is_unbounded, leq
-from .unfocused import materialize, tensor_splits
+from .signatures import Signature, check_goal, is_unbounded
+from .unfocused import materialize, promotes, tensor_splits
 
 
 class SearchStats(Record):
@@ -180,7 +183,8 @@ def prove_focused(
             stats.rounds += 1
             start = stats.nodes
             try:
-                proof, cutoff = searcher.search(goal, cap, 0)
+                searcher.cap = cap
+                proof, cutoff = searcher.search(goal, cap)
             finally:
                 stats.round_nodes.append(stats.nodes - start)
             if proof is not None:
@@ -204,6 +208,7 @@ class _Searcher:
         self.sig = sig
         self.stats = stats
         self.max_nodes = max_nodes
+        self.cap = 0  # the decide budget of the current round
         # formula object id -> class number, over the goal's sub-objects
         self.table = table
         # formula class -> (its decide flavour and tensor skeleton; the
@@ -216,27 +221,35 @@ class _Searcher:
         # search); a failure without a cutoff holds at every budget
         self.failed: dict | None = {} if use_memo else None
 
-    def _key(self, fseq: Sequent) -> tuple[tuple[int, ...], int]:
-        focus = -1 if fseq.focus is None else self.table[id(fseq.focus)]
-        return context_key(self.table, fseq.context), focus
-
-    def search(self, fseq: Sequent, budget: int, used: int) -> tuple[FProof | None, bool]:
+    def search(self, fseq: Sequent, budget: int) -> tuple[FProof | None, bool]:
         self._count()
-        if used > self.stats.deepest_decides:
-            self.stats.deepest_decides = used
+        if self.cap - budget > self.stats.deepest_decides:
+            self.stats.deepest_decides = self.cap - budget
+        ctx, focus = fseq.context, fseq.focus
+        if focus is None and not is_neutral(ctx):
+            # the leftmost invertible rule; top has no premise and closes
+            i = next(i for i, f in enumerate(ctx) if type(f) in ASYNC)
+            return self._expand(fseq, (FProof(ASYNC[type(ctx[i])], principal=i),), budget)
 
         key = None
-        if self.failed is not None and (fseq.focus is not None or is_neutral(fseq.context)):
-            key = self._key(fseq)
+        if self.failed is not None:
+            key = context_key(self.table, ctx), -1 if focus is None else self.table[id(focus)]
             hit = self.failed.get(key)
             if hit is not None and (budget <= hit[0] or not hit[1]):
                 self.stats.memo_hits += 1
                 return None, hit[1]
 
-        if fseq.focus is None:
-            proof, cutoff = self._unfocused(fseq, budget, used)
+        if focus is None:
+            # neutral: decide, spending one unit of budget
+            heads = self._decide_candidates(ctx)
+            if heads and budget == 0:
+                proof, cutoff = None, True
+            else:
+                proof, cutoff = self._expand(fseq, heads, budget - 1)
+        elif type(focus) is Tensor:
+            proof, cutoff = self._tensor(ctx, focus, budget)
         else:
-            proof, cutoff = self._focused(fseq, budget, used)
+            proof, cutoff = self._expand(fseq, self._heads(ctx, focus), budget)
 
         if proof is None and key is not None:
             hit = self.failed.get(key)
@@ -245,45 +258,29 @@ class _Searcher:
         return proof, cutoff
 
     def _expand(
-        self, fseq: Sequent, head: FProof, budget: int, used: int
+        self, fseq: Sequent, heads: Iterable[FProof], budget: int
     ) -> tuple[FProof | None, bool]:
-        """Search every premise of one rule application.
+        """Try each head in turn: the first proof, or none and whether a
+        cutoff was met.
 
         A head that does not apply fails outright, with no cutoff.  A
         premise is built only once the ones before it are proved.
         """
-        try:
-            plans = fpremise_plans(self.sig, fseq, head)
-        except CheckError:
-            return None, False
-        subs = []
-        for plan in plans:
-            sub, cutoff = self.search(materialize(plan, fseq), budget, used)
-            if sub is None:
-                return None, cutoff
-            subs.append(sub)
-        return FProof(head.rule, head.principal, head.split, head.kept, tuple(subs)), False
-
-    def _unfocused(self, fseq: Sequent, budget: int, used: int) -> tuple[FProof | None, bool]:
-        ctx = fseq.context
-        if not is_neutral(ctx):
-            # the leftmost invertible rule; top has no premise and closes
-            i = next(i for i, f in enumerate(ctx) if type(f) in ASYNC)
-            head = FProof(ASYNC[type(ctx[i])], principal=i)
-            return self._expand(fseq, head, budget, used)
-
-        # neutral: decide, spending one unit of budget
-        cands = self._decide_candidates(ctx)
-        if not cands:
-            return None, False
-        if budget == 0:
-            return None, True
         any_cutoff = False
-        for head in cands:
-            proof, cutoff = self._expand(fseq, head, budget - 1, used + 1)
-            if proof is not None:
-                return proof, False
-            any_cutoff = any_cutoff or cutoff
+        for head in heads:
+            try:
+                plans = fpremise_plans(self.sig, fseq, head)
+            except CheckError:
+                continue
+            subs = []
+            for plan in plans:
+                sub, cutoff = self.search(materialize(plan, fseq), budget)
+                if sub is None:
+                    any_cutoff = any_cutoff or cutoff
+                    break
+                subs.append(sub)
+            else:
+                return FProof(head.rule, head.principal, head.split, head.kept, tuple(subs)), False
         return None, any_cutoff
 
     def _decide_candidates(self, ctx: Context) -> list[FProof]:
@@ -354,60 +351,48 @@ class _Searcher:
                 pending += ((g.left, False), (g.right, False))
         return ((rule, tuple(names.items())) if rule else ()), frozenset(reach)
 
-    def _focused(self, fseq: Sequent, budget: int, used: int) -> tuple[FProof | None, bool]:
-        ctx = fseq.context
-        match fseq.focus:
+    def _heads(self, ctx: Context, focus: Formula) -> Iterable[FProof]:
+        """The rules that can take apart a focus other than a tensor."""
+        match focus:
             case Atom(name=name):
-                for i, g in enumerate(ctx):
-                    if isinstance(g, NegAtom) and g.name == name:
-                        proof, _ = self._expand(fseq, FProof(FINIT, principal=i), budget, used)
-                        if proof is not None:
-                            return proof, False
-                return None, False
+                return (
+                    FProof(FINIT, principal=i)
+                    for i, g in enumerate(ctx)
+                    if isinstance(g, NegAtom) and g.name == name
+                )
             case One():
-                return self._expand(fseq, FProof(FONE), budget, used)
+                return (FProof(FONE),)
             case Zero():
-                return None, False
+                return ()
             case Plus():
-                any_cutoff = False
-                for head in _PLUS_HEADS:
-                    proof, cutoff = self._expand(fseq, head, budget, used)
-                    if proof is not None:
-                        return proof, False
-                    any_cutoff = any_cutoff or cutoff
-                return None, any_cutoff
-            case Tensor(left=first, right=second):
-                kept = tuple(
-                    i
-                    for i, g in enumerate(ctx)
-                    if isinstance(g, Qm) and is_unbounded(self.sig, g.label)
-                )
-                avail = [i for i in range(len(ctx)) if i not in kept]
-                cut = [False]
-                tried = set()
-                for make_left, taken in self._synchronous(ctx, kept, avail, first, budget, used, cut):
-                    key = context_key(self.table, [ctx[i] for i in taken])
-                    if key in tried:
-                        continue
-                    tried.add(key)
-                    self.stats.splits += 1
-                    rest = tuple(g for i, g in enumerate(ctx) if i not in taken)
-                    right, cutoff = self.search(Sequent(rest, second), budget, used)
-                    if right is not None:
-                        split = tuple(sorted(taken))
-                        return FProof(FTENSOR, None, split, kept, (make_left(), right)), False
-                    cut[0] = cut[0] or cutoff
-                return None, cut[0]
+                return _PLUS_HEADS
             case Bang(label=label):
-                kept = tuple(
-                    i
-                    for i, g in enumerate(ctx)
-                    if isinstance(g, Qm) and leq(self.sig, label, g.label)
-                )
-                return self._expand(fseq, FProof(FBANG, kept=kept), budget, used)
+                kept = tuple(i for i, g in enumerate(ctx) if promotes(self.sig, label, (g,)))
+                return (FProof(FBANG, kept=kept),)
             case _:
                 # negative focus: release it and resume the invertible phase
-                return self._expand(fseq, _BLUR_HEAD, budget, used)
+                return (_BLUR_HEAD,)
+
+    def _tensor(self, ctx: Context, focus: Tensor, budget: int) -> tuple[FProof | None, bool]:
+        """The lazy split: the right premise gets what each left proof of
+        ``focus.left`` leaves, once per consumed multiset."""
+        kept = tuple(i for i, g in enumerate(ctx) if copyable(self.sig, g))
+        avail = [i for i in range(len(ctx)) if i not in kept]
+        cut = [False]
+        tried = set()
+        for make_left, taken in self._synchronous(ctx, kept, avail, focus.left, budget, cut):
+            key = context_key(self.table, [ctx[i] for i in taken])
+            if key in tried:
+                continue
+            tried.add(key)
+            self.stats.splits += 1
+            rest = tuple(g for i, g in enumerate(ctx) if i not in taken)
+            right, cutoff = self.search(Sequent(rest, focus.right), budget)
+            if right is not None:
+                split = tuple(sorted(taken))
+                return FProof(FTENSOR, None, split, kept, (make_left(), right)), False
+            cut[0] = cut[0] or cutoff
+        return None, cut[0]
 
     def _synchronous(
         self,
@@ -416,7 +401,6 @@ class _Searcher:
         avail: list[int],
         focus: Formula,
         budget: int,
-        used: int,
         cut: list[bool],
     ) -> Iterator[tuple[Callable[[], FProof], tuple[int, ...]]]:
         """Proofs of ``focus`` that take from ``avail`` what they need.
@@ -445,23 +429,23 @@ class _Searcher:
                 return
             case Plus(left=a, right=b):
                 for rule, part in ((FPLUS1, a), (FPLUS2, b)):
-                    for make, taken in self._synchronous(ctx, kept, avail, part, budget, used, cut):
+                    for make, taken in self._synchronous(ctx, kept, avail, part, budget, cut):
                         yield partial(_one_premise, rule, make), taken
             case Tensor(left=a, right=b):
-                for left, taken_a in self._synchronous(ctx, kept, avail, a, budget, used, cut):
+                for left, taken_a in self._synchronous(ctx, kept, avail, a, budget, cut):
                     rest = [i for i in avail if i not in taken_a]
-                    for right, taken_b in self._synchronous(ctx, kept, rest, b, budget, used, cut):
+                    for right, taken_b in self._synchronous(ctx, kept, rest, b, budget, cut):
                         taken = taken_a + taken_b
                         yield partial(_ftensor, kept, taken, taken_a, left, right), taken
             case Bang(label=label, body=body):
-                above = lambda i: isinstance(ctx[i], Qm) and leq(self.sig, label, ctx[i].label)
+                above = lambda i: promotes(self.sig, label, (ctx[i],))
                 promoted = [i for i in kept if above(i)]
                 cands = [i for i in avail if above(i)]
                 classes = [self.table[id(ctx[i])] for i in cands]
                 for taken in tensor_splits(cands, classes):
                     inner = sorted(promoted + list(taken))
                     premise = Sequent(tuple(ctx[i] for i in inner) + (body,))
-                    proof, cutoff = self.search(premise, budget, used)
+                    proof, cutoff = self.search(premise, budget)
                     if proof is None:
                         cut[0] = cut[0] or cutoff
                         continue
@@ -471,7 +455,7 @@ class _Searcher:
                 classes = [self.table[id(ctx[i])] for i in avail]
                 for taken in tensor_splits(avail, classes):
                     sub = tuple(ctx[i] for i in sorted(kept + taken))
-                    proof, cutoff = self.search(Sequent(sub + (focus,)), budget, used)
+                    proof, cutoff = self.search(Sequent(sub + (focus,)), budget)
                     if proof is None:
                         cut[0] = cut[0] or cutoff
                         continue

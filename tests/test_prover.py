@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from selogic.formulas import Sequent
 from selogic.parsing import parse_formula, parse_sequent, parse_signature, print_sequent
 from selogic.prover import Exhausted, Proved, prove_focused
 from selogic.reduction import encode_halting
+from selogic.signatures import close_signature
 from selogic.unfocused import check_unfocused, tensor_splits
 
 # max_decides per corpus goal: trace length plus the register sum at the
@@ -356,3 +358,70 @@ def test_nested_tensor_lists_check_in_both_calculi(sig, context, focus, text):
     assert print_focused_proof(out.proof) == text
     check_focused(sig, goal, out.proof)
     check_unfocused(sig, Sequent(ctx + (goal.focus,)), defocus(out.proof, sig, goal))
+
+
+# One goal per kind of focus, against labels u (unbounded) and v <= u, at 3
+# decides: the context, then the focus.  No other test starts the search
+# under focus.
+FOCUS_SIG = close_signature(["u", "v"], ["u"], [("v", "u")])
+FOCUSED_PROVED = [
+    "~x ; x",  # finit
+    "~x, ~y ; (x * y)",  # ftensor, lazy split
+    "?v ~x ; !v x",  # fbang keeps the ?v formula
+    "~x ; (0 + x)",  # plus: the left side has no proof
+    "x ; (~x | bot)",  # blur
+    "?u x ; !u ~x",  # fbang, then a udecide
+]
+FOCUSED_EXHAUSTED = [
+    "?u ~x, ~y ; (x * y)",  # x needs a bare ~x, not ?u ~x
+    "bot ; 1",  # f1 cannot discard bot
+    "~x ; 0",  # nothing acts on a focused zero
+    "~x, ~x ; x",  # finit cannot discard the other ~x
+]
+
+
+def focused_goal(text):
+    context, focus = text.split(" ; ")
+    return Sequent(parse_sequent(f"|- {context}").context, parse_formula(focus))
+
+
+@pytest.mark.parametrize("text", FOCUSED_PROVED)
+def test_a_goal_under_focus_is_proved(text):
+    goal = focused_goal(text)
+    out = prove_focused(FOCUS_SIG, goal, max_decides=3)
+    assert isinstance(out, Proved), text
+    check_focused(FOCUS_SIG, goal, out.proof)
+
+
+@pytest.mark.parametrize("text", FOCUSED_EXHAUSTED)
+def test_a_goal_under_focus_is_exhausted_for_good(text):
+    out = prove_focused(FOCUS_SIG, focused_goal(text), max_decides=3)
+    assert isinstance(out, Exhausted) and out.complete, text
+
+
+def test_search_results_and_counters_are_pinned():
+    # every counter and certificate over the halting corpus, 300 random
+    # draws and the focused goals above; a change to what the search tries,
+    # or in what order, shows here
+    runs = []
+    for name, budget in sorted(HALTING_BUDGETS.items()):
+        bundle = encode_halting(*load_corpus(name))
+        runs.append((bundle.signature, Sequent(bundle.goal), budget, 500_000))
+    rng = random.Random(0)
+    for _ in range(300):
+        s = random_signature(rng)
+        runs.append((s, Sequent(random_context(rng, s)), 5, 40_000))
+    for text in FOCUSED_PROVED + FOCUSED_EXHAUSTED:
+        runs.append((FOCUS_SIG, focused_goal(text), 3, 500_000))
+    lines, proved = [], 0
+    for s, goal, budget, cap in runs:
+        out = prove_focused(s, goal, max_decides=budget, max_nodes=cap)
+        lines.append(repr(out.stats))
+        if isinstance(out, Proved):
+            proved += 1
+            lines.append(print_focused_proof(out.proof))
+        else:
+            lines.append(repr((out.complete, out.hit_node_cap)))
+    assert proved == 7 + 193 + 6
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "bc7ebf649201be0c49b22b80b732876f25977d266fd795e2b1161c0f861264d6"
