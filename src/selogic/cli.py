@@ -21,15 +21,7 @@ from .certificates import (
     print_unfocused_proof,
 )
 from .corpus import corpus_names, load_corpus
-from .errors import (
-    AtomClash,
-    CheckError,
-    MachineError,
-    MalformedCertificate,
-    ParseError,
-    SignatureError,
-    TraceMismatch,
-)
+from .errors import CheckError, MalformedCertificate, TraceMismatch
 from .focusing import check_focused, count_decides, defocus
 from .formulas import Sequent
 from .generators import random_context, random_signature
@@ -328,10 +320,7 @@ def main(argv=None) -> int:
     except (CheckError, TraceMismatch, MalformedCertificate) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ParseError, SignatureError, MachineError, AtomClash, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -222,7 +222,9 @@ def fpremise_plans(sig: Signature, fseq: Sequent, node: FProof) -> list[Plan]:
             if node.kept is None:
                 _fail(Reason.CONTEXT_MISMATCH, "fbang needs a kept position list")
             kept = set(node.kept)
-            if len(kept) != len(node.kept) or not _in_range(kept, n):
+            if len(kept) != len(node.kept):
+                _fail(Reason.CONTEXT_MISMATCH, "fbang kept positions repeat a position")
+            if not _in_range(kept, n):
                 _fail(Reason.CONTEXT_MISMATCH, "fbang kept positions out of range")
             if not uf.promotes(sig, f.label, map(ctx.__getitem__, kept)):
                 _fail(

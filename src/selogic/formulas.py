@@ -211,8 +211,8 @@ def _same(xs: list[Formula], ys: list[Formula]) -> bool:
 
     Walks both with explicit stacks, so depth is not bounded by the
     recursion limit.  The dispatch is inline, because this is ``==`` on
-    formulas and sequents: a call per node, as :func:`_shape` would make,
-    tripled its cost.
+    formulas: a call per node, as :func:`_shape` would make, tripled its
+    cost.
     """
     while xs:
         x, y = xs.pop(), ys.pop()
@@ -292,15 +292,6 @@ class Sequent(Record):
     def __init__(self, context: Context, focus: Formula | None = None):
         setfield(self, "context", tuple(context))
         setfield(self, "focus", focus)
-
-    # one walk over the whole sequent: checking print -> parse compares goals
-    def __eq__(self, other):
-        if type(other) is not Sequent:
-            return NotImplemented
-        a, b = self.context, other.context
-        return len(a) == len(b) and _same([*a, self.focus], [*b, other.focus])
-
-    __hash__ = Record.__hash__
 
     def __len__(self) -> int:
         return len(self.context)

@@ -32,7 +32,7 @@ from .errors import (
     SelfLoop,
     UnknownState,
 )
-from .records import Record, setfield
+from .records import Record, fill, setfield
 from .signatures import is_identifier
 
 HALT = "halt"
@@ -62,9 +62,7 @@ class Entry(Record):
     __slots__ = __match_args__ = ("source", "instruction", "target")
 
     def __init__(self, source: str, instruction: str, target: str):
-        setfield(self, "source", source)
-        setfield(self, "instruction", instruction)
-        setfield(self, "target", target)
+        fill(self, source, instruction, target)
 
 
 class Configuration(Record):
@@ -75,37 +73,26 @@ class Configuration(Record):
         setfield(self, "a", a)
         setfield(self, "b", b)
 
-    # compared at every step of a run, so faster than Record's
-    def __eq__(self, other):
-        if type(other) is not Configuration:
-            return NotImplemented
-        return self.state == other.state and self.a == other.a and self.b == other.b
-
-    __hash__ = Record.__hash__
-
 
 class Machine(Record):
     __slots__ = __match_args__ = ("states", "halting", "entries")
 
     def __init__(self, states: frozenset[str], halting: str, entries: tuple[Entry, ...]):
-        setfield(self, "states", states)
-        setfield(self, "halting", halting)
-        setfield(self, "entries", entries)
+        fill(self, states, halting, entries)
 
 
 class Halted(Record):
     __slots__ = __match_args__ = ("trace",)
 
     def __init__(self, trace: tuple[str, ...]):
-        setfield(self, "trace", trace)
+        fill(self, trace)
 
 
 class _Unfinished(Record):
     __slots__ = __match_args__ = ("config", "trace")
 
     def __init__(self, config: Configuration, trace: tuple[str, ...]):
-        setfield(self, "config", config)
-        setfield(self, "trace", trace)
+        fill(self, config, trace)
 
 
 class Stuck(_Unfinished):

@@ -69,8 +69,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
-from functools import partial
+from collections.abc import Iterable, Iterator
 
 from .errors import CheckError
 from .focusing import (
@@ -155,11 +154,6 @@ class Exhausted(Record):
 
 
 SearchResult = Proved | Exhausted
-
-
-#: Heads that take no position, shared by every search.
-_BLUR_HEAD = FProof(BLUR)
-_PLUS_HEADS = (FProof(FPLUS1), FProof(FPLUS2))
 
 
 class _NodeCap(Exception):
@@ -365,13 +359,13 @@ class _Searcher:
             case Zero():
                 return ()
             case Plus():
-                return _PLUS_HEADS
+                return (FProof(FPLUS1), FProof(FPLUS2))
             case Bang(label=label):
                 kept = tuple(i for i, g in enumerate(ctx) if promotes(self.sig, label, (g,)))
                 return (FProof(FBANG, kept=kept),)
             case _:
                 # negative focus: release it and resume the invertible phase
-                return (_BLUR_HEAD,)
+                return (FProof(BLUR),)
 
     def _tensor(self, ctx: Context, focus: Tensor, budget: int) -> tuple[FProof | None, bool]:
         """The lazy split: the right premise gets what each left proof of
@@ -380,7 +374,7 @@ class _Searcher:
         avail = [i for i in range(len(ctx)) if i not in kept]
         cut = [False]
         tried = set()
-        for make_left, taken in self._synchronous(ctx, kept, avail, focus.left, budget, cut):
+        for left, taken in self._synchronous(ctx, kept, avail, focus.left, budget, cut):
             key = context_key(self.table, [ctx[i] for i in taken])
             if key in tried:
                 continue
@@ -390,7 +384,7 @@ class _Searcher:
             right, cutoff = self.search(Sequent(rest, focus.right), budget)
             if right is not None:
                 split = tuple(sorted(taken))
-                return FProof(FTENSOR, None, split, kept, (make_left(), right)), False
+                return FProof(FTENSOR, None, split, kept, (left, right)), False
             cut[0] = cut[0] or cutoff
         return None, cut[0]
 
@@ -402,14 +396,12 @@ class _Searcher:
         focus: Formula,
         budget: int,
         cut: list[bool],
-    ) -> Iterator[tuple[Callable[[], FProof], tuple[int, ...]]]:
+    ) -> Iterator[tuple[FProof, tuple[int, ...]]]:
         """Proofs of ``focus`` that take from ``avail`` what they need.
 
-        Yields ``(make, taken)``: ``make()`` builds a proof of ``focus`` over
-        the positions ``kept`` and ``taken`` of ``ctx``, in context order,
-        and ``taken`` lists the positions of ``avail`` it consumed.  Most
-        outcomes are dropped, as tried already or for a failing right
-        premise, so only the returned one is built.  Synchronous
+        Yields ``(proof, taken)``: ``proof`` proves ``focus`` over the
+        positions ``kept`` and ``taken`` of ``ctx``, in context order, and
+        ``taken`` lists the positions of ``avail`` it consumed.  Synchronous
         connectives take formulas lazily; only fbang and blur, whose
         premises are searched strictly, try one premise context per
         multiset of the formulas they may take.  A strict premise that
@@ -421,22 +413,22 @@ class _Searcher:
                 for i in avail:
                     g = ctx[i]
                     if isinstance(g, NegAtom) and g.name == name:
-                        yield partial(FProof, FINIT, bisect(kept, i)), (i,)
+                        yield FProof(FINIT, bisect(kept, i)), (i,)
                         return
             case One():
-                yield partial(FProof, FONE), ()
+                yield FProof(FONE), ()
             case Zero():
                 return
             case Plus(left=a, right=b):
                 for rule, part in ((FPLUS1, a), (FPLUS2, b)):
-                    for make, taken in self._synchronous(ctx, kept, avail, part, budget, cut):
-                        yield partial(_one_premise, rule, make), taken
+                    for proof, taken in self._synchronous(ctx, kept, avail, part, budget, cut):
+                        yield FProof(rule, premises=(proof,)), taken
             case Tensor(left=a, right=b):
                 for left, taken_a in self._synchronous(ctx, kept, avail, a, budget, cut):
                     rest = [i for i in avail if i not in taken_a]
                     for right, taken_b in self._synchronous(ctx, kept, rest, b, budget, cut):
                         taken = taken_a + taken_b
-                        yield partial(_ftensor, kept, taken, taken_a, left, right), taken
+                        yield _ftensor(kept, taken, taken_a, left, right), taken
             case Bang(label=label, body=body):
                 above = lambda i: promotes(self.sig, label, (ctx[i],))
                 promoted = [i for i in kept if above(i)]
@@ -449,7 +441,7 @@ class _Searcher:
                     if proof is None:
                         cut[0] = cut[0] or cutoff
                         continue
-                    yield partial(_fbang, kept, taken, inner, proof), taken
+                    yield _fbang(kept, taken, inner, proof), taken
             case _:
                 # negative: blur and search the rest of the premise strictly
                 classes = [self.table[id(ctx[i])] for i in avail]
@@ -459,7 +451,7 @@ class _Searcher:
                     if proof is None:
                         cut[0] = cut[0] or cutoff
                         continue
-                    yield partial(FProof, BLUR, None, None, None, (proof,)), taken
+                    yield FProof(BLUR, premises=(proof,)), taken
 
     def _count(self) -> None:
         self.stats.nodes += 1
@@ -467,18 +459,14 @@ class _Searcher:
             raise _NodeCap
 
 
-# The nodes of a returned synchronous outcome, whose context is the
-# positions ``kept + taken``: its position lists give their ranks.
-
-
-def _one_premise(rule: str, make: Callable[[], FProof]) -> FProof:
-    return FProof(rule, premises=(make(),))
+# The nodes of a synchronous outcome, whose context is the positions
+# ``kept + taken``: its position lists give their ranks.
 
 
 def _ftensor(kept, taken, taken_a, left, right) -> FProof:
     rank = {p: r for r, p in enumerate(sorted(kept + taken))}
     split = tuple(sorted(rank[i] for i in taken_a))
-    return FProof(FTENSOR, None, split, tuple(rank[i] for i in kept), (left(), right()))
+    return FProof(FTENSOR, None, split, tuple(rank[i] for i in kept), (left, right))
 
 
 def _fbang(kept, taken, inner, proof) -> FProof:

@@ -73,11 +73,7 @@ class Value:
 
 
 class Record(Value):
-    """A value equal to another of its class when their fields are equal.
-
-    A record compared on a hot path defines its own ``__eq__``, which runs
-    about twice as fast as this one.
-    """
+    """A value equal to another of its class when their fields are equal."""
 
     __slots__ = ()
 

@@ -119,9 +119,6 @@ def materialize(plan: Plan, seq: Sequent) -> Sequent:
     ctx, focus = seq.context, seq.focus
     out = []
     for segments in plan:
-        if len(segments) == 1 and segments[0][0] == "run":
-            out.append(ctx[segments[0][1] : segments[0][2]])
-            continue
         joined: list = []
         for seg in segments:
             kind = seg[0]

@@ -104,6 +104,11 @@ def test_prove_reports_unprovable_goal(capsys):
     assert "reason: unprovable" in out
 
 
+def test_prove_node_budget_exhaustion(capsys):
+    assert main(["prove", "drain_a", "--max-nodes", "1"]) == 1
+    assert lines(capsys) == ["outcome: exhausted", "reason: node-budget", "nodes: 2", "rounds: 2"]
+
+
 @pytest.fixture()
 def incra_files(tmp_path):
     sig_f, goal_f, proof_f = (tmp_path / n for n in ("m.sig", "m.goal", "p.cert"))
@@ -178,6 +183,15 @@ def test_extract_recovers_trace(incra_files, capsys):
     assert "trace: incra halt" in out
 
 
+def test_extract_writes_trace_file(incra_files, tmp_path, capsys):
+    _, _, proof_f = incra_files
+    target = tmp_path / "t.trace"
+    capsys.readouterr()
+    assert main(["extract", "incra_halt", "--proof", str(proof_f), "--trace-out", str(target)]) == 0
+    assert target.read_text() == "incra\nhalt\n"
+    assert f"trace-file: {target}" in lines(capsys)
+
+
 def test_extract_rejects_foreign_proof(incra_files, capsys):
     _, _, proof_f = incra_files
     capsys.readouterr()
@@ -207,6 +221,16 @@ def test_synthesize_empty_trace_is_the_honest_negative(capsys):
     out = lines(capsys)
     assert out[0] == "outcome: empty-trace"
     assert any(line.startswith("reason: ") for line in out)
+
+
+def test_synthesize_stuck_machine_is_the_honest_negative(capsys):
+    assert main(["synthesize", "stuck"]) == 1
+    assert lines(capsys) == ["outcome: stuck"]
+
+
+def test_roundtrip_out_of_fuel_is_the_honest_negative(capsys):
+    assert main(["roundtrip", "loop", "--fuel", "5"]) == 1
+    assert lines(capsys) == ["outcome: out-of-fuel"]
 
 
 def test_unknown_machine_name_is_an_input_error(capsys):

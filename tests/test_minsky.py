@@ -197,6 +197,23 @@ def test_corpus_expected_outcomes():
     assert isinstance(run(m, init, max_steps=200), Stuck)
 
 
+def test_fuel_equal_to_the_run_length_is_enough():
+    # the halting configuration is checked once more after the last step
+    halting = 0
+    for name in corpus_names():
+        m, init = load_corpus(name)
+        full = run(m, init, max_steps=200)
+        if not isinstance(full, Halted):
+            continue
+        halting += 1
+        n = len(full.trace)
+        assert run(m, init, max_steps=n) == full, name
+        if n:  # already_halted halts at fuel 0
+            short = run(m, init, max_steps=n - 1)
+            assert isinstance(short, OutOfFuel) and short.trace == full.trace[:-1], name
+    assert halting == 8
+
+
 def test_gated_pair_is_one_machine_two_configurations():
     m0, c0 = load_corpus("gated_zero")
     m1, c1 = load_corpus("gated_one")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from selogic.certificates import print_unfocused_proof
 from selogic.corpus import load_corpus
 from selogic.errors import CheckError, Reason, UnknownLabel
-from selogic.focusing import FProof, check_focused, defocus
+from selogic.focusing import FBANG, FTENSOR, FProof, check_focused, defocus
 from selogic.formulas import (
     ZERO,
     Atom,
@@ -112,10 +112,13 @@ NOT_QM = "principal formula is not question-marked"
 BLOCKED = (
     "promotion of !u over a context formula that is not question-marked at a label above 'u'"
 )
+FTENSOR_LISTS = "ftensor needs kept and left position lists"
+FTENSOR_REPEAT = "ftensor position lists repeat a position"
 
 # (goal, certificate, reason, message, path) for every way a rule of the
-# unfocused calculus rejects its node; the last four are the shared negative
-# rules under the focused checker, given a focus
+# unfocused calculus rejects its node; then the shared negative rules under
+# the focused checker, given a focus, and the focused checker's rejections of
+# ftensor's and fbang's position lists
 REJECTIONS = {
     "top-type": ("|- x, ~x", UProof(TOP_RULE, principal=0), "principal formula is not top", ()),
     "bot-type": ("|- x, ~x", UProof(BOT_RULE, principal=1), "principal formula is not bot", ()),
@@ -207,6 +210,21 @@ REJECTIONS = {
     "focused-bot": ("|- bot ; x", FProof(BOT_RULE, principal=0), "bot applies only without a focus", ()),
     "focused-with": ("|- (1 & 1) ; x", FProof(WITH, principal=0), "with applies only without a focus", ()),
     "focused-top": ("|- top ; x", FProof(TOP_RULE, principal=0), "top applies only without a focus", ()),
+    "ftensor-no-kept": ("|- ~x, ~y ; (x * y)", FProof(FTENSOR, split=(0,)), FTENSOR_LISTS, ()),
+    "ftensor-no-split": ("|- ~x, ~y ; (x * y)", FProof(FTENSOR, kept=()), FTENSOR_LISTS, ()),
+    "ftensor-repeated-split": (
+        "|- ~x, ~y ; (x * y)", FProof(FTENSOR, kept=(), split=(0, 0)), FTENSOR_REPEAT, ()
+    ),
+    "ftensor-repeated-kept": (
+        "|- ?inf ~x, ~y ; (x * y)", FProof(FTENSOR, kept=(0, 0), split=()), FTENSOR_REPEAT, ()
+    ),
+    "fbang-no-kept": ("|- ?inf x ; !u ~x", FProof(FBANG), "fbang needs a kept position list", ()),
+    "fbang-kept-past-the-end": (
+        "|- ?inf x ; !u ~x", FProof(FBANG, kept=(1,)), "fbang kept positions out of range", ()
+    ),
+    "fbang-repeated-kept": (
+        "|- ?inf x ; !u ~x", FProof(FBANG, kept=(0, 0)), "fbang kept positions repeat a position", ()
+    ),
 }
 
 
