@@ -265,15 +265,16 @@ def count_decides(proof: FProof) -> int:
 # :class:`~selogic.unfocused.Occurrence` stand-ins for the focused
 # sequent's formula occurrences.  ``tags`` lays them out as the focused
 # sequent does, context then focus, and the plans the walk yields move
-# them.  ``slots`` holds the same occurrences in the order of the
-# unfocused context being proved, which is read off them, and the plans
-# of the emitted unfocused rules move them.  Both name the same
-# occurrences with no renumbering: an occurrence makes each of its parts
-# once (its parts cache), so the parts the tags take and the parts the
-# slots take are the same objects.  udecide is the one rule whose focus
-# copies a formula that stays, to be decided again: at each udecide
-# :func:`_defocus` renews the body's cache entry before the node's plans
-# move the tags.
+# them.  ``slots`` holds distinct tags in the order of the unfocused
+# context being proved, which is read off them, and the plans of the
+# emitted unfocused rules move them; an occurrence makes each of its parts
+# once (its parts cache), so the parts both take are the same objects.  A
+# tag may lack a slot: a copyable formula is the principal of no focused
+# rule but udecide, so an ftensor's copies go only to the premises whose
+# subtrees hold one, the right one if neither does.  udecide is the one
+# rule whose focus copies a formula that stays, to be decided again: at
+# each udecide :func:`_defocus` renews the body's cache entry before the
+# node's plans move the tags.
 #
 # At each node :func:`_defocus` emits a chain of unfocused rule heads, the
 # last of which takes the translated premises, and the slots of each
@@ -291,10 +292,10 @@ def defocus(proof: FProof, sig: Signature, goal: Sequent) -> UProof:
 
     The underlying unfocused sequent is the goal context with the focus, if
     any, appended.  Decides vanish or become contraction/dereliction pairs,
-    and the weakenings folded into finit/f1/fbang/ftensor become explicit
-    weakening chains.  The goal and the focused certificate are checked on
-    the way by :func:`check_focused`'s own walk; a rejected one raises the
-    same error.
+    and the weakenings folded into finit/f1/fbang become explicit weakening
+    chains; ftensor contracts a copy only when both premises udecide.  The
+    goal and the focused certificate are checked on the way by
+    :func:`check_focused`'s own walk; a rejected one raises the same error.
     """
     check_goal(sig, goal, focused=True)
     occurrences = tuple(map(Occurrence, goal.context))
@@ -302,10 +303,10 @@ def defocus(proof: FProof, sig: Signature, goal: Sequent) -> UProof:
     slots = occurrences if focus is None else (*occurrences, focus)
     # the (tags, slots) of each premise still to translate
     pending = [(Sequent(occurrences, focus), Sequent(slots))]
-    order = []
+    order, udecides = [], {}
     for node, _, plans, _ in checked_nodes(sig, goal, proof):
         tags, slots = pending.pop()
-        chain, premises = _defocus(sig, node, tags, slots)
+        chain, premises = _defocus(sig, node, tags, slots, udecides)
         order.append((chain, len(premises)))
         moved = [materialize(plan, tags) for plan in plans]
         pending.extend(reversed([*zip(moved, premises, strict=True)]))
@@ -313,21 +314,22 @@ def defocus(proof: FProof, sig: Signature, goal: Sequent) -> UProof:
 
 
 def _defocus(
-    sig: Signature, node: FProof, tags: Sequent, slots: Sequent
+    sig: Signature, node: FProof, tags: Sequent, slots: Sequent, udecides: dict[int, bool]
 ) -> tuple[list[tuple], list[Sequent]]:
     """Translate one focused node: its unfocused heads, as the
     :func:`~selogic.unfocused.assemble` chain of ``(rule, principal, pair,
     split)`` tuples, and the slots of its premises.
 
-    An empty chain passes the single premise's translation through.
+    An empty chain passes the single premise's translation through;
+    ``udecides`` memoises :func:`_holds_udecide`.
     """
-    # the slots hold the focused sequent's occurrences, each exactly once:
-    # n distinct slots, each among the n tags (context plus focus)
+    # the slots are distinct tags; a tag without one is a copy an ancestor
+    # ftensor sent to its other premise (fpremise_plans checked it copyable)
     unmatched = set(slots.context)
     n = len(unmatched)
     unmatched.difference_update(tags.context)
     unmatched.discard(tags.focus)
-    assert not unmatched and n == len(slots.context) == len(tags) + (tags.focus is not None)
+    assert not unmatched and n == len(slots.context)
 
     rule = node.rule
     match rule:
@@ -348,7 +350,7 @@ def _defocus(
             if rule == FINIT:
                 keep.append(tags.context[node.principal])
             elif rule == FBANG:
-                keep.extend(map(tags.context.__getitem__, node.kept))
+                keep += filter(slots.context.__contains__, map(tags.context.__getitem__, node.kept))
             # weaken away every other slot, highest position first; a kept
             # slot then sits at its rank among the kept ones
             at = [*map(slots.context.index, keep)]
@@ -363,15 +365,19 @@ def _defocus(
             head = (uf.BANG, kept.index(at[0]), None, None)
             return chain + [head], _emit(sig, head, slots)
         case "ftensor":
-            # one explicit contraction per copied formula, highest position
-            # first; each original stays left of its copy and goes left
+            # contract each copy, highest position first, its original going
+            # left, if both premises udecide; else to the one that does, or right
+            slotted = slots.context.__contains__
+            copied = [*filter(slotted, map(tags.context.__getitem__, node.kept))]
+            left = [*filter(slotted, map(tags.context.__getitem__, node.split))]
             chain = []
-            if node.kept:
-                copied = sorted(map(slots.context.index, map(tags.context.__getitem__, node.kept)))
-                doubled = tuple(sorted((*range(len(slots.context)), *copied)))
-                slots = materialize(((("pick", doubled),), NO_FOCUS), slots)
-                chain = [(uf.CONTR, p, None, None) for p in reversed(copied)]
-            left = map(tags.context.__getitem__, (*node.kept, *node.split))
+            if copied and _holds_udecide(node.premises[0], udecides):
+                if _holds_udecide(node.premises[1], udecides):
+                    at = sorted(map(slots.context.index, copied))
+                    doubled = tuple(sorted((*range(len(slots.context)), *at)))
+                    slots = materialize(((("pick", doubled),), NO_FOCUS), slots)
+                    chain = [(uf.CONTR, p, None, None) for p in reversed(at)]
+                left += copied
             split = tuple(sorted(map(slots.context.index, left)))
             chain.append((uf.TENSOR, slots.context.index(tags.focus), None, split))
             return chain, _emit(sig, chain[-1], slots)
@@ -386,3 +392,16 @@ def _emit(sig: Signature, head: tuple, slots: Sequent) -> list[Sequent]:
     formulas the slots carry."""
     u = Sequent([o.formula for o in slots.context])
     return [materialize(plan, slots) for plan in uf.premise_plans(sig, u, UProof(*head))]
+
+
+def _holds_udecide(node: FProof, memo: dict[int, bool]) -> bool:
+    """Whether ``node``'s subtree holds a udecide; ``memo`` settles each node once."""
+    pending = [node]
+    while pending:
+        top = pending.pop()
+        todo = [p for p in top.premises if id(p) not in memo]
+        if top.rule != UDECIDE and todo:
+            pending += top, *todo
+        else:
+            memo[id(top)] = top.rule == UDECIDE or any(memo[id(p)] for p in top.premises)
+    return memo[id(node)]

@@ -24,7 +24,7 @@ class _Formula(Value):
     def __eq__(self, other):
         if not isinstance(other, _Formula):
             return NotImplemented
-        return _same([self], [other])
+        return _same(self, other)
 
     def __hash__(self):
         # pre-order (type, data) pairs determine the formula
@@ -177,16 +177,23 @@ def polarity(f: Formula) -> Polarity:
 
 def labels_of(f: Formula) -> frozenset[str]:
     """All subexponential labels occurring in the formula."""
-    labels = set()
-    pending = [f]
+    return frozenset(labels_in(f))
+
+
+def labels_in(*roots: Formula) -> list[str]:
+    """The labels of ``roots`` left to right, visiting a shared object once."""
+    labels, seen, pending = [], set(), [*reversed(roots)]
     while pending:
         g = pending.pop()
-        if isinstance(g, (Bang, Qm)):
-            labels.add(g.label)
-            pending.append(g.body)
-        elif isinstance(g, (Tensor, Par, Plus, With)):
-            pending += (g.left, g.right)
-    return frozenset(labels)
+        t = type(g)
+        if (t in _UNARY or t in _BINARY) and id(g) not in seen:
+            seen.add(id(g))
+            if t in _UNARY:
+                labels.append(g.label)
+                pending.append(g.body)
+            else:
+                pending += g.right, g.left
+    return labels
 
 
 _NAMED = frozenset({Atom, NegAtom})
@@ -206,14 +213,13 @@ def _shape(f: Formula) -> tuple[str | None, tuple[Formula, ...]]:
     return None, ()
 
 
-def _same(xs: list[Formula], ys: list[Formula]) -> bool:
-    """Whether two equally long lists of formulas are equal pairwise.
-
-    Walks both with explicit stacks, so depth is not bounded by the
-    recursion limit.  The dispatch is inline, because this is ``==`` on
-    formulas: a call per node, as :func:`_shape` would make, tripled its
-    cost.
+def _same(x: Formula, y: Formula) -> bool:
+    """Whether two formulas are equal, walking both with explicit stacks,
+    so depth is not bounded by the recursion limit.  The dispatch is
+    inline, because this is ``==`` on formulas: a call per node, as
+    :func:`_shape` would make, tripled its cost.
     """
+    xs, ys = [x], [y]
     while xs:
         x, y = xs.pop(), ys.pop()
         if x is not y:
@@ -250,18 +256,25 @@ def intern_table(*roots: Formula) -> dict[int, int]:
     """
     table: dict[int, int] = {}
     classes: dict[tuple, int] = {}
-    stack = [(f, False) for f in roots]
-    while stack:
-        f, ready = stack.pop()
+    pending = [*roots]
+    while pending:
+        f = pending.pop()
         if id(f) in table:
             continue
-        data, kids = _shape(f)
-        if ready:
-            shape = (type(f), data, *[table[id(k)] for k in kids])
-            table[id(f)] = classes.setdefault(shape, len(classes))
+        t = type(f)
+        if t in _BINARY:
+            if (left := table.get(id(f.left))) is None or (right := table.get(id(f.right))) is None:
+                pending += f, f.right, f.left  # numbered after its parts
+                continue
+            shape = t, left, right
+        elif t in _UNARY:
+            if (body := table.get(id(f.body))) is None:
+                pending += f, f.body
+                continue
+            shape = t, f.label, body
         else:
-            stack.append((f, True))
-            stack.extend((k, False) for k in kids)
+            shape = t, f.name if t in _NAMED else None
+        table[id(f)] = classes.setdefault(shape, len(classes))
     return table
 
 

@@ -97,11 +97,10 @@ class UProof(ProofNode):
 
 
 # A premise plan is a pair of segment tuples over the conclusion: the
-# premise's context, then its focus (empty, or one segment for one formula).
+# premise's context, then its focus (none, or a one-formula run, part or fpart).
 #   ("run", lo, hi)     positions lo..hi-1 of the context, unchanged
 #   ("pick", (i, ...))  the formulas at scattered positions, in that order
 #   ("part", i, k)      immediate subformula k of the formula at i (0=left/body)
-#   ("copy", i)         a contraction duplicate of the formula at i
 #   ("focus",)          the conclusion's focus
 #   ("fpart", k)        immediate subformula k of the focus
 Plan = tuple[tuple[tuple, ...], tuple[tuple, ...]]
@@ -117,26 +116,26 @@ def materialize(plan: Plan, seq: Sequent) -> Sequent:
     :class:`Occurrence` stand-ins exactly as they move formulas.
     """
     ctx, focus = seq.context, seq.focus
-    out = []
-    for segments in plan:
-        joined: list = []
-        for seg in segments:
-            kind = seg[0]
-            if kind == "run":
-                joined += ctx[seg[1] : seg[2]]
-            elif kind == "pick":
-                joined += map(ctx.__getitem__, seg[1])
-            elif kind == "part":
-                joined.append(ctx[seg[1]].part(seg[2]))
-            elif kind == "copy":
-                joined.append(ctx[seg[1]])
-            elif kind == "focus":
-                joined.append(focus)
-            else:
-                joined.append(focus.part(seg[1]))
-        out.append(joined)
-    new_ctx, new_focus = out
-    return Sequent(new_ctx, new_focus[0] if new_focus else None)
+    segments, focused = plan
+    joined: list = []
+    for seg in segments:
+        kind = seg[0]
+        if kind == "run":
+            joined += ctx[seg[1] : seg[2]]
+        elif kind == "pick":
+            joined += map(ctx.__getitem__, seg[1])
+        elif kind == "part":
+            joined.append(ctx[seg[1]].part(seg[2]))
+        elif kind == "focus":
+            joined.append(focus)
+        else:
+            joined.append(focus.part(seg[1]))
+    if not focused:
+        return Sequent(joined)
+    seg = focused[0]  # a part, or a one-formula run as decide moves
+    if seg[0] == "fpart":
+        return Sequent(joined, focus.part(seg[1]))
+    return Sequent(joined, ctx[seg[1]].part(seg[2]) if seg[0] == "part" else ctx[seg[1]])
 
 
 class Occurrence:
@@ -236,7 +235,7 @@ ROWS = {
     ), _drop),
     CONTR: (Qm, "contraction needs a question-marked formula", (
         _unbounded, Reason.STRUCTURAL_ON_BOUNDED, "label {0!r} does not admit contraction",
-    ), lambda n, p: [((("run", 0, p + 1), ("copy", p), ("run", p + 1, n)), NO_FOCUS)]),
+    ), lambda n, p: [((("run", 0, p + 1), ("run", p, n)), NO_FOCUS)]),  # p twice
 }
 
 

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import selogic
 from selogic.certificates import parse_focused_proof
 from selogic.cli import main
 from selogic.focusing import check_focused
@@ -160,6 +164,21 @@ def test_check_rejects_a_deeply_banged_goal_without_a_traceback(tmp_path, capsys
     assert out[0] == "outcome: rejected"
     assert "reason: context-mismatch" in out
     assert "path: 0" in out
+
+
+def test_check_names_the_first_undeclared_label_under_any_hash_seed(tmp_path):
+    # the goal's labels are scanned left to right, not in set order
+    (tmp_path / "s").write_text("labels: u\n")
+    (tmp_path / "g").write_text("|- !p ?q x, ~x\n")
+    (tmp_path / "p").write_text("(decide 0 (f1))\n")
+    args = ["check", "--signature", "s", "--sequent", "g", "--proof", "p"]
+    src = str(Path(selogic.__file__).resolve().parent.parent)
+    for seed in range(6):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+        out = subprocess.run([sys.executable, "-m", "selogic", *args], cwd=tmp_path, env=env,
+                             capture_output=True, text=True)
+        assert (out.returncode, out.stderr) == (
+            2, "error: label 'p' is not declared in the signature\n"), seed
 
 
 def test_check_unfocused_calculus(tmp_path, capsys):

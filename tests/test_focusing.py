@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selogic.corpus import load_corpus
 from selogic.errors import CheckError, Reason
 from selogic.focusing import (
     BLUR,
@@ -26,18 +27,24 @@ from selogic.focusing import (
 from selogic.formulas import Bang, NegAtom, Par, Plus, Polarity, Qm, Sequent, Tensor, With, polarity
 from selogic.generators import random_context, random_formula, random_signature
 from selogic.parsing import parse_formula, parse_sequent
+from selogic.prover import prove_focused
+from selogic.reduction import encode_halting
 from selogic.signatures import is_unbounded, leq
 from selogic.unfocused import (
+    BANG,
     CONTR,
     INIT,
+    ONE_RULE,
     TENSOR,
     UProof,
     check_unfocused,
     count_rule,
     materialize,
     premise_plans,
+    proof_nodes,
     proof_size,
 )
+from test_prover import HALTING_BUDGETS
 
 
 def fgoal(text, focus=None):
@@ -431,3 +438,66 @@ def test_defocus_of_structural_phases(sig):
     check_unfocused(sig, useq, u)
     assert count_rule(u, CONTR) == 1
     assert count_rule(u, "weak") == 1
+
+
+# --- where defocus sends an ftensor's copies ---------------------------------
+#
+# Each goal below decides on a tensor and copies ``?inf z`` into both
+# premises; a premise that closes at ~z udecides it.
+
+USE_Z = FProof(BLUR, premises=(FProof(UDECIDE, principal=0, premises=(FIN1,)),))
+
+
+def defocused(sig, text, ftensor):
+    goal = fgoal(text)
+    proof = FProof(DECIDE, principal=0, premises=(ftensor,))
+    check_focused(sig, goal, proof)
+    u = defocus(proof, sig, goal)
+    check_unfocused(sig, Sequent(goal.context), u)
+    return u
+
+
+def test_a_copy_only_the_right_premise_udecides_goes_right(sig):
+    u = defocused(sig, "|- (x * ~z), ~x, ?inf z",
+                  FProof(FTENSOR, kept=(1,), split=(0,), premises=(FIN0, USE_Z)))
+    # no contraction at the tensor, and no weakening on the left
+    assert u.rule == TENSOR and u.split == (1,)
+    assert u.premises[0].rule == INIT
+    assert count_rule(u, CONTR) == 1  # the udecide's
+
+
+def test_a_copy_both_premises_udecide_is_contracted(sig):
+    u = defocused(sig, "|- (~z * ~z), ?inf z",
+                  FProof(FTENSOR, kept=(0,), split=(), premises=(USE_Z, USE_Z)))
+    assert u.rule == CONTR
+    assert u.premises[0].rule == TENSOR
+    assert count_rule(u, CONTR) == 3
+
+
+def test_a_copy_only_the_left_premise_udecides_goes_left(sig):
+    u = defocused(sig, "|- (~z * x), ~x, ?inf z",
+                  FProof(FTENSOR, kept=(1,), split=(), premises=(USE_Z, FIN0)))
+    assert u.rule == TENSOR and u.split == (2,)
+    assert u.premises[1].rule == INIT
+    assert count_rule(u, CONTR) == 1
+
+
+def test_fbang_drops_a_kept_copy_that_went_to_the_other_premise(sig):
+    # the left premise keeps ?inf z under its promotion but never udecides
+    # it, so the copy goes right and the bang keeps nothing
+    promote = FProof(FBANG, kept=(0,), premises=(FProof(DECIDE, principal=1, premises=(FProof(FONE),)),))
+    u = defocused(sig, "|- (!u 1 * ~z), ?inf z",
+                  FProof(FTENSOR, kept=(0,), split=(), premises=(promote, USE_Z)))
+    assert u.rule == TENSOR and u.split == ()
+    assert [node.rule for node in proof_nodes(u.premises[0])] == [BANG, ONE_RULE]
+
+
+@pytest.mark.parametrize("name,budget", sorted(HALTING_BUDGETS.items()))
+def test_prover_proofs_defocus_with_one_contraction_per_udecide(name, budget):
+    bundle = encode_halting(*load_corpus(name))
+    goal = Sequent(bundle.goal)
+    proof = prove_focused(bundle.signature, goal, max_decides=budget).proof
+    u = defocus(proof, bundle.signature, goal)
+    check_unfocused(bundle.signature, goal, u)
+    udecides = sum(1 for node in proof_nodes(proof) if node.rule == UDECIDE)
+    assert count_rule(u, CONTR) == udecides > 0
