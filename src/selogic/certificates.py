@@ -40,11 +40,12 @@ wider lines.
 
 The reader makes one pass over the tokens: a list becomes its proof node
 as it closes, by one constructor call from a table of each rule's
-arguments.  Only a rejected text is read again, with lines and columns,
-to name its first error: a bad character, else a fault of the
-parentheses, else the first malformed node in pre-order.  Printing and
-reading walk with explicit stacks: time is linear in the text, and depth
-is not bounded by the recursion limit.
+arguments.  Only a rejected text is read again, keeping each token's
+character offset, to name its first error: a bad character, else a fault
+of the parentheses, else the first malformed node in pre-order; only that
+error's offset becomes a line and column.  Printing and reading walk with
+explicit stacks: time is linear in the text, and depth is not bounded by
+the recursion limit.
 """
 
 from __future__ import annotations
@@ -62,33 +63,6 @@ from .unfocused import UProof
 # ``_``), a ``;`` comment, or any other character but whitespace, which is
 # an error.
 _TOKEN = re.compile(r"[()]|\w+|;[^\n]*|[^ \t\r\n]")
-
-
-def _lex(text: str, filename: str | None):
-    """The tokens with their lines and columns; raises at the first bad character."""
-    out = []
-    line, line_start, pos = 1, 0, 0
-    for m in _TOKEN.finditer(text):
-        tok, start = m.group(), m.start()
-        c = tok[0]
-        if c == ";":
-            continue
-        newlines = text.count("\n", pos, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", pos, start) + 1
-        pos = start
-        col = start - line_start + 1
-        if c == "(" or c == ")":
-            out.append((c, c, line, col))
-        elif c == "_" or c.isdigit() or (c.islower() and c.isalnum()):
-            if tok.isascii() and tok.isdigit():
-                out.append(("num", int(tok), line, col))
-            else:
-                out.append(("sym", tok, line, col))
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col, filename)
-    return out
 
 
 def _read(text: str, filename: str | None, calculus: tuple):
@@ -128,40 +102,49 @@ def _error(text: str, filename: str | None, calculus: tuple):
 
     The first bad character wins, then the first fault of the parentheses
     in reading order, then the first malformed node in pre-order, left
-    premise first.  Only here are lines and columns worked out.
+    premise first.  Tokens keep their offsets; only the offset reported
+    becomes a line and column.
     """
-    toks = _lex(text, filename)
+    toks = []  # (value, offset): a parenthesis, a number or a symbol
+    for m in _TOKEN.finditer(text):
+        tok, c = m.group(), m.group()[0]
+        if c == ";":
+            continue
+        if c not in "()_" and not c.isdigit() and not (c.islower() and c.isalnum()):
+            raise ParseError.at(f"unexpected character {c!r}", text, m.start(), filename)
+        toks.append((int(tok) if tok.isascii() and tok.isdigit() else tok, m.start()))
     if not toks:
         raise ParseError("empty certificate", 1, 1, filename)
-    opened: list[list] = []  # each list is [(line, col), item, ...]
-    for i, (kind, val, line, col) in enumerate(toks):
-        if kind == "(":
-            opened.append([(line, col)])
+    opened: list[list] = []  # each list is [offset, item, ...]
+    for i, (val, at) in enumerate(toks):
+        if val == "(":
+            opened.append([at])
             continue
-        if kind == ")":
+        if val == ")":
             if not opened:
-                raise ParseError("unmatched closing parenthesis", line, col, filename)
+                raise ParseError.at("unmatched closing parenthesis", text, at, filename)
             val = opened.pop()
         if opened:
             opened[-1].append(val)
         elif i + 1 < len(toks):
-            raise ParseError("trailing input after the certificate", *toks[i + 1][2:], filename)
+            at = toks[i + 1][1]
+            raise ParseError.at("trailing input after the certificate", text, at, filename)
         else:
             break
     else:
-        raise ParseError("unclosed parenthesis", *opened[-1][0], filename)
+        raise ParseError.at("unclosed parenthesis", text, opened[-1][0], filename)
     name, _, rules = calculus
     pending = [val]
     while pending:
         node = pending.pop()
         if type(node) is not list or len(node) < 2 or type(node[1]) is not str:
-            where = node[0] if type(node) is list else (1, 1)
-            raise ParseError("expected a (rule ...) form", *where, filename)
+            where = node[0] if type(node) is list else 0
+            raise ParseError.at("expected a (rule ...) form", text, where, filename)
         tag, args = node[1], node[2:]
         kinds = rules[tag][2] if tag in rules else None
         fault = f"not {name} rule" if kinds is None else _fault(kinds, args)
         if fault:
-            raise ParseError(f"{tag}: {fault}", *node[0], filename)
+            raise ParseError.at(f"{tag}: {fault}", text, node[0], filename)
         pending.extend(reversed([x for kind, x in zip(kinds, args) if kind == "s"]))
     raise AssertionError("a text the reader refused has no error")
 

@@ -16,6 +16,9 @@ class ParseError(ValueError):
     """Raised when one of the text formats fails to parse.
 
     Carries enough position information to print ``file:line:column``.
+    Lines and columns count from 1; only ``\\n`` ends a line, so a ``\\r``
+    before it is the line's last column.  The readers keep character
+    offsets and convert one with :meth:`at` only for the error they raise.
     """
 
     def __init__(self, message: str, line: int, column: int, filename: str | None = None):
@@ -25,6 +28,12 @@ class ParseError(ValueError):
         self.filename = filename
         where = f"{filename or '<input>'}:{line}:{column}"
         super().__init__(f"{where}: {message}")
+
+    @classmethod
+    def at(cls, message: str, text: str, offset: int, filename: str | None = None) -> ParseError:
+        """The error at character ``offset`` of ``text``."""
+        line_start = text.rfind("\n", 0, offset) + 1
+        return cls(message, text.count("\n", 0, offset) + 1, offset - line_start + 1, filename)
 
 
 # --- signature errors -------------------------------------------------------

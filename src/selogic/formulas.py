@@ -175,11 +175,6 @@ def polarity(f: Formula) -> Polarity:
     return p
 
 
-def labels_of(f: Formula) -> frozenset[str]:
-    """All subexponential labels occurring in the formula."""
-    return frozenset(labels_in(f))
-
-
 def labels_in(*roots: Formula) -> list[str]:
     """The labels of ``roots`` left to right, visiting a shared object once."""
     labels, seen, pending = [], set(), [*reversed(roots)]

@@ -63,62 +63,55 @@ _TOKEN = re.compile(r"((?:[ \t\r\n]+|#[^\n]*)*)(?:(\|-|<=|[()*|+&!?~,])|(\w+)|(.
 class Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int  # in characters from the start of the text
 
 
 def tokenize(text: str, filename: str | None = None) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
+    pos = 0
     for skipped, symbol, word, bad in _TOKEN.findall(text):
-        if skipped:
-            last = skipped.rfind("\n") + 1
-            if last:
-                line += skipped.count("\n")
-                line_start = pos + last
-            if not (symbol or word or bad) and "#" in skipped[last:]:
-                # the end sits where a comment on the last line starts
-                skipped = skipped[: skipped.index("#", last)]
-            pos += len(skipped)
-        col = pos - line_start + 1
+        pos += len(skipped)
         if symbol:
-            tokens.append(Token(_SYMBOLS[symbol], symbol, line, col))
+            tokens.append(Token(_SYMBOLS[symbol], symbol, pos))
             pos += len(symbol)
         elif word:
             if word[0].isalpha() or word[0] == "_":
-                tokens.append(Token("reserved" if word in _RESERVED else "ident", word, line, col))
+                tokens.append(Token("reserved" if word in _RESERVED else "ident", word, pos))
             else:
-                tokens += _word_tokens(word, line, col, filename)
+                tokens += _word_tokens(word, pos, text, filename)
             pos += len(word)
         elif bad:
-            raise ParseError(f"unexpected character {bad!r}", line, col, filename)
+            raise ParseError.at(f"unexpected character {bad!r}", text, pos, filename)
         else:
-            tokens.append(Token("eof", "", line, col))
+            # the end sits where a comment on the last line starts
+            end = text.find("#", text.rfind("\n") + 1)
+            tokens.append(Token("eof", "", len(text) if end < 0 else end))
             return tokens
 
 
-def _word_tokens(word: str, line: int, col: int, filename: str | None) -> list[Token]:
-    """A word that starts with neither a letter nor ``_``: a lone ``0`` or
-    ``1`` is a unit; otherwise leading digits (``str.isdigit``) make a
-    number, and any rest must be an identifier."""
+def _word_tokens(word: str, pos: int, text: str, filename: str | None) -> list[Token]:
+    """A word at offset ``pos`` that starts with neither a letter nor ``_``:
+    a lone ``0`` or ``1`` is a unit; otherwise leading digits
+    (``str.isdigit``) make a number, and any rest must be an identifier."""
     if word == "0" or word == "1":
-        return [Token("unit", word, line, col)]
+        return [Token("unit", word, pos)]
     digits = 0
     while digits < len(word) and word[digits].isdigit():
         digits += 1
-    tokens = [Token("number", word[:digits], line, col)] if digits else []
+    tokens = [Token("number", word[:digits], pos)] if digits else []
     rest = word[digits:]
     if rest:
-        col += digits
+        pos += digits
         if not (rest[0].isalpha() or rest[0] == "_"):
-            raise ParseError(f"unexpected character {rest[0]!r}", line, col, filename)
-        tokens.append(Token("reserved" if rest in _RESERVED else "ident", rest, line, col))
+            raise ParseError.at(f"unexpected character {rest[0]!r}", text, pos, filename)
+        tokens.append(Token("reserved" if rest in _RESERVED else "ident", rest, pos))
     return tokens
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token], filename: str | None):
-        self.tokens = tokens
+    def __init__(self, text: str, filename: str | None):
+        self.text = text
+        self.tokens = tokenize(text, filename)
         self.pos = 0
         self.filename = filename
 
@@ -141,7 +134,7 @@ class _Cursor:
         self.fail_at(self.peek(), message)
 
     def fail_at(self, tok: Token, message: str):
-        raise ParseError(message, tok.line, tok.column, self.filename)
+        raise ParseError.at(message, self.text, tok.offset, self.filename)
 
 
 _BINOPS = {"star": Tensor, "pipe": Par, "plus": Plus, "amp": With}
@@ -197,9 +190,7 @@ def _parse_formula(cur: _Cursor) -> Formula:
                 op = cur.next()
                 ctor = _BINOPS.get(op.kind)
                 if ctor is None:
-                    raise ParseError(
-                        f"expected a connective, found {op.text!r}", op.line, op.column, cur.filename
-                    )
+                    cur.fail_at(op, f"expected a connective, found {op.text!r}")
                 pending[-1] = [ctor, f]
                 break
             pending.pop()
@@ -215,7 +206,7 @@ def _parse_formula(cur: _Cursor) -> Formula:
 
 
 def parse_formula(text: str, filename: str | None = None) -> Formula:
-    cur = _Cursor(tokenize(text, filename), filename)
+    cur = _Cursor(text, filename)
     f = _parse_formula(cur)
     tok = cur.peek()
     if tok.kind != "eof":
@@ -264,7 +255,7 @@ def print_formula(f: Formula) -> str:
 
 def parse_sequent(text: str, filename: str | None = None) -> Sequent:
     """Either one formula per line, or ``|-`` followed by a comma list."""
-    cur = _Cursor(tokenize(text, filename), filename)
+    cur = _Cursor(text, filename)
     formulas: list[Formula] = []
     if cur.peek().kind == "turnstile":
         cur.next()

@@ -21,7 +21,7 @@ from selogic.formulas import (
     context_key,
     dual,
     intern_table,
-    labels_of,
+    labels_in,
     polarity,
 )
 from selogic.generators import random_formula, random_signature
@@ -94,10 +94,15 @@ def test_polarity_assignments():
     assert all(polarity(f) is Polarity.NEGATIVE for f in negatives)
 
 
-def test_labels_of_collects_nested():
+def test_labels_in_collects_nested():
     f = Bang("u", Par(Qm("v", Atom("x")), Qm("u", ONE)))
-    assert labels_of(f) == frozenset({"u", "v"})
-    assert labels_of(Atom("x")) == frozenset()
+    assert labels_in(f) == ["u", "v", "u"]
+    assert labels_in(Atom("x")) == []
+    # a shared subformula is one object, visited once
+    g = Qm("w", ONE)
+    assert labels_in(Par(g, g)) == ["w"]
+    # several roots, left to right
+    assert labels_in(Bang("a", ONE), Qm("b", ONE)) == ["a", "b"]
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -7,7 +7,6 @@ from selogic.errors import ParseError, UnknownLabel
 from selogic.formulas import Atom, Bang, NegAtom, Qm, Sequent, Tensor
 from selogic.generators import random_formula, random_signature
 from selogic.parsing import (
-    Token,
     parse_formula,
     parse_sequent,
     parse_signature,
@@ -80,6 +79,25 @@ def test_error_carries_filename():
     with pytest.raises(ParseError) as e:
         parse_formula("(", "goal.txt")
     assert "goal.txt:1:2" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "text,offset,line,col",
+    [
+        ("ab\ncd", 0, 1, 1),
+        ("ab\ncd", 3, 2, 1),  # right after a newline
+        ("ab\n\ncd", 4, 3, 1),
+        ("ab\r\ncd", 2, 1, 3),  # the \r is a column of its line
+        ("ab\r\ncd", 4, 2, 1),
+        ("ab\ncd", 5, 2, 3),  # the end of the text
+        ("ab\n", 3, 2, 1),
+        ("", 0, 1, 1),
+        ("abc", 2, 1, 3),  # no newline
+    ],
+)
+def test_error_at_an_offset(text, offset, line, col):
+    e = ParseError.at("bad", text, offset, "f.txt")
+    assert (e.message, e.line, e.column, str(e)) == ("bad", line, col, f"f.txt:{line}:{col}: bad")
 
 
 def test_parse_sequent_turnstile_form():
@@ -177,7 +195,8 @@ _PUNCT = {
 
 
 def _char_tokenize(text):
-    """The character-at-a-time tokenizer that one regular expression replaced."""
+    """The character-at-a-time tokenizer that one regular expression replaced,
+    as (kind, text, line, column) tuples."""
     tokens = []
     line, col = 1, 1
     i, n = 0, len(text)
@@ -197,22 +216,22 @@ def _char_tokenize(text):
                 i += 1
             continue
         if c == "|" and i + 1 < n and text[i + 1] == "-":
-            tokens.append(Token("turnstile", "|-", line, col))
+            tokens.append(("turnstile", "|-", line, col))
             i += 2
             col += 2
             continue
         if c == "<" and i + 1 < n and text[i + 1] == "=":
-            tokens.append(Token("le", "<=", line, col))
+            tokens.append(("le", "<=", line, col))
             i += 2
             col += 2
             continue
         if c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, line, col))
+            tokens.append((_PUNCT[c], c, line, col))
             i += 1
             col += 1
             continue
         if c in "01" and not (i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "_")):
-            tokens.append(Token("unit", c, line, col))
+            tokens.append(("unit", c, line, col))
             i += 1
             col += 1
             continue
@@ -220,7 +239,7 @@ def _char_tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("number", text[i:j], line, col))
+            tokens.append(("number", text[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -230,12 +249,12 @@ def _char_tokenize(text):
                 j += 1
             word = text[i:j]
             kind = "reserved" if word in {"bot", "top"} else "ident"
-            tokens.append(Token(kind, word, line, col))
+            tokens.append((kind, word, line, col))
             col += j - i
             i = j
             continue
         raise ParseError(f"unexpected character {c!r}", line, col, None)
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(("eof", "", line, col))
     return tokens
 
 
@@ -270,4 +289,7 @@ def test_tokenizer_matches_the_character_loop(text):
             e.message, e.line, e.column,
         )
     else:
-        assert tokenize(text) == expected
+        assert [
+            (t.kind, t.text, text.count("\n", 0, t.offset) + 1, t.offset - text.rfind("\n", 0, t.offset))
+            for t in tokenize(text)
+        ] == expected

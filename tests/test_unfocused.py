@@ -9,7 +9,20 @@ from hypothesis import given, settings, strategies as st
 from selogic.certificates import print_unfocused_proof
 from selogic.corpus import load_corpus
 from selogic.errors import CheckError, Reason, UnknownLabel
-from selogic.focusing import FBANG, FTENSOR, FProof, check_focused, defocus
+from selogic.focusing import (
+    BLUR,
+    DECIDE,
+    FBANG,
+    FINIT,
+    FONE,
+    FPLUS1,
+    FTENSOR,
+    LDECIDE,
+    UDECIDE,
+    FProof,
+    check_focused,
+    defocus,
+)
 from selogic.formulas import (
     ZERO,
     Atom,
@@ -112,13 +125,15 @@ NOT_QM = "principal formula is not question-marked"
 BLOCKED = (
     "promotion of !u over a context formula that is not question-marked at a label above 'u'"
 )
+NO_FOCUS = "{} decomposes the focus, but nothing is focused"
+DISCARDS = "{} would discard a formula that is not an unbounded question-marked formula"
 FTENSOR_LISTS = "ftensor needs kept and left position lists"
 FTENSOR_REPEAT = "ftensor position lists repeat a position"
 
 # (goal, certificate, reason, message, path) for every way a rule of the
 # unfocused calculus rejects its node; then the shared negative rules under
-# the focused checker, given a focus, and the focused checker's rejections of
-# ftensor's and fbang's position lists
+# the focused checker, given a focus, and every way a focused rule rejects
+# its node.  A focused goal is "context ; focus", or the context alone.
 REJECTIONS = {
     "top-type": ("|- x, ~x", UProof(TOP_RULE, principal=0), "principal formula is not top", ()),
     "bot-type": ("|- x, ~x", UProof(BOT_RULE, principal=1), "principal formula is not bot", ()),
@@ -225,6 +240,95 @@ REJECTIONS = {
     "fbang-repeated-kept": (
         "|- ?inf x ; !u ~x", FProof(FBANG, kept=(0, 0)), "fbang kept positions repeat a position", ()
     ),
+    **{
+        f"{rule}-{case}": (text, FProof(rule, principal=p), expected, ())
+        for rule in (DECIDE, LDECIDE, UDECIDE)
+        for case, text, p, expected in (
+            ("focused", "|- x ; y", 0, f"{rule} applies only without a focus"),
+            ("not-neutral", "|- (x | y), 1", 1, ("NOT_NEUTRAL", "decide requires a neutral context")),
+            ("past-the-end", "|- 1", 1, "position 1 out of range for context of 1"),
+        )
+    },
+    "decide-negative": (
+        "|- ~x",
+        FProof(DECIDE, principal=0),
+        ("FOCUS_ON_NEGATIVE", "decide needs a positive formula"),
+        (),
+    ),
+    "ldecide-not-qm": ("|- x", FProof(LDECIDE, principal=0), "ldecide needs a question-marked formula", ()),
+    "udecide-not-qm": ("|- x", FProof(UDECIDE, principal=0), "udecide needs a question-marked formula", ()),
+    "ldecide-unbounded": (
+        "|- ?inf x",
+        FProof(LDECIDE, principal=0),
+        ("WRONG_DECIDE_FLAVOR", "label 'inf' is unbounded; use udecide"),
+        (),
+    ),
+    "udecide-bounded": (
+        "|- ?u x",
+        FProof(UDECIDE, principal=0),
+        ("WRONG_DECIDE_FLAVOR", "label 'u' is bounded; use ldecide"),
+        (),
+    ),
+    **{
+        f"{node.rule}-unfocused": ("|- ~x, 1", node, NO_FOCUS.format(node.rule), ())
+        for node in (
+            FProof(BLUR),
+            FProof(FINIT, principal=0),
+            FProof(FONE),
+            FProof(FPLUS1),
+            FProof(FTENSOR, kept=(), split=()),
+            FProof(FBANG, kept=()),
+        )
+    },
+    "blur-type": (
+        "|- ~x ; x", FProof(BLUR), ("BLUR_ON_POSITIVE", "blur releases only a negative focus"), ()
+    ),
+    "finit-type": ("|- ~x ; 1", FProof(FINIT, principal=0), "finit needs an atom under focus", ()),
+    "f1-type": ("|- ~x ; x", FProof(FONE), "f1 needs the unit under focus", ()),
+    "fplus1-type": ("|- ~x ; x", FProof(FPLUS1), "focus is not a plus", ()),
+    "ftensor-type": ("|- ~x ; x", FProof(FTENSOR, kept=(), split=()), "focus is not a tensor", ()),
+    "fbang-type": ("|- ~x ; x", FProof(FBANG, kept=()), "focus is not banged", ()),
+    "finit-other-atom": (
+        "|- ~y ; x", FProof(FINIT, principal=0), "finit needs the focused atom's negation", ()
+    ),
+    "finit-lingering": (
+        "|- ~x, y ; x",
+        FProof(FINIT, principal=0),
+        ("LINGERING_LINEAR", DISCARDS.format("finit")),
+        (),
+    ),
+    "f1-lingering": ("|- ?inf x, y ; 1", FProof(FONE), ("LINGERING_LINEAR", DISCARDS.format("f1")), ()),
+    "fbang-lingering": (
+        "|- ?inf x, y ; !u x",
+        FProof(FBANG, kept=()),
+        ("LINGERING_LINEAR", DISCARDS.format("fbang")),
+        (),
+    ),
+    "ftensor-past-the-end": (
+        "|- ~x ; (x * 1)", FProof(FTENSOR, kept=(), split=(1,)), "ftensor positions out of range", ()
+    ),
+    "ftensor-copied-and-left": (
+        "|- ?inf ~x ; (x * 1)",
+        FProof(FTENSOR, kept=(0,), split=(0,)),
+        "a position cannot be both copied and sent left",
+        (),
+    ),
+    "ftensor-copied-bounded": (
+        "|- ?u ~x ; (x * 1)",
+        FProof(FTENSOR, kept=(0,), split=()),
+        ("COPIED_BOUNDED", "only unbounded question-marked formulas can be copied to both premises"),
+        (),
+    ),
+    "fbang-blocked": (
+        "|- ?v x ; !u ~x",
+        FProof(FBANG, kept=(0,)),
+        (
+            "PROMOTION_BLOCKED",
+            "promotion of !u can keep only question-marked formulas at labels above 'u'",
+        ),
+        (),
+    ),
+    "focused-unknown-tag": ("|- x ; y", FProof("weak", principal=0), "unknown rule tag 'weak'", ()),
 }
 
 
@@ -233,8 +337,9 @@ def test_every_rule_rejection_is_pinned(sig, case):
     text, proof, expected, path = REJECTIONS[case]
     reason, message = expected if isinstance(expected, tuple) else ("CONTEXT_MISMATCH", expected)
     if isinstance(proof, FProof):
-        context, focus = text.split(" ; ")
-        check, goal = check_focused, Sequent(parse_sequent(context).context, parse_formula(focus))
+        context, _, focus = text.partition(" ; ")
+        focus = parse_formula(focus) if focus else None
+        check, goal = check_focused, Sequent(parse_sequent(context).context, focus)
     else:
         check, goal = check_unfocused, parse_sequent(text)
     with pytest.raises(CheckError) as e:
