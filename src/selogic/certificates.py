@@ -115,37 +115,39 @@ def _error(text: str, filename: str | None, calculus: tuple):
         toks.append((int(tok) if tok.isascii() and tok.isdigit() else tok, m.start()))
     if not toks:
         raise ParseError("empty certificate", 1, 1, filename)
-    opened: list[list] = []  # each list is [offset, item, ...]
+    opened: list[list] = []  # each is [offsets, item, ...]; offsets[k] is item k's, [0] its own
     for i, (val, at) in enumerate(toks):
         if val == "(":
-            opened.append([at])
+            opened.append([[at]])
             continue
         if val == ")":
             if not opened:
                 raise ParseError.at("unmatched closing parenthesis", text, at, filename)
             val = opened.pop()
+            at = val[0][0]
         if opened:
             opened[-1].append(val)
+            opened[-1][0].append(at)
         elif i + 1 < len(toks):
             at = toks[i + 1][1]
             raise ParseError.at("trailing input after the certificate", text, at, filename)
         else:
             break
     else:
-        raise ParseError.at("unclosed parenthesis", text, opened[-1][0], filename)
+        raise ParseError.at("unclosed parenthesis", text, opened[-1][0][0], filename)
     name, _, rules = calculus
-    pending = [val]
+    pending = [(val, at)]
     while pending:
-        node = pending.pop()
+        node, at = pending.pop()
         if type(node) is not list or len(node) < 2 or type(node[1]) is not str:
-            where = node[0] if type(node) is list else 0
-            raise ParseError.at("expected a (rule ...) form", text, where, filename)
+            raise ParseError.at("expected a (rule ...) form", text, at, filename)
         tag, args = node[1], node[2:]
         kinds = rules[tag][2] if tag in rules else None
         fault = f"not {name} rule" if kinds is None else _fault(kinds, args)
         if fault:
-            raise ParseError.at(f"{tag}: {fault}", text, node[0], filename)
-        pending.extend(reversed([x for kind, x in zip(kinds, args) if kind == "s"]))
+            raise ParseError.at(f"{tag}: {fault}", text, at, filename)
+        subs = [(x, node[0][k]) for k, (kind, x) in enumerate(zip(kinds, args), 2) if kind == "s"]
+        pending.extend(reversed(subs))
     raise AssertionError("a text the reader refused has no error")
 
 
@@ -162,7 +164,7 @@ def _fault(kinds: str, args: list) -> str | None:
         if kind == "n" and type(x) is not int:
             return "expected a position number"
         marker = _MARKERS.get(kind)
-        # a list read by _error holds its position first
+        # a list read by _error holds its offsets first
         if marker and _numbers(x[1:] if type(x) is list else x, marker) is None:
             return f"expected ({marker} ...) with position numbers"
     return None

@@ -1,8 +1,8 @@
 """Two-register counter machines with guarded instructions.
 
 A machine is a finite set of states with a distinguished halting state and a
-list of entries ``(source, instruction, target)``.  The seven instructions
-and their guards:
+list of entries ``(source, instruction, target)``.  One table, :data:`_TABLE`,
+gives each of the seven instructions its guard and its change to a and b:
 
     halt    always enabled; jumps to the halting state and zeroes both
             registers, so the run lands exactly on the halting configuration
@@ -43,19 +43,27 @@ DECRB = "decrb"
 ISZA = "isza"
 ISZB = "iszb"
 
-INSTRUCTIONS = (HALT, INCRA, INCRB, DECRA, DECRB, ISZA, ISZB)
-
-# Guard domains for the determinism check: None means "always enabled";
-# otherwise (register, required-zero?) carves out half of that register's axis.
-_GUARDS: dict[str, tuple[str, bool] | None] = {
-    HALT: None,
-    INCRA: None,
-    INCRB: None,
-    DECRA: ("a", False),
-    DECRB: ("b", False),
-    ISZA: ("a", True),
-    ISZB: ("b", True),
+# Each instruction's guard, None for "always enabled" or (register,
+# required-zero?), which carves out half of that register's axis, and its
+# change to a and b; halt's is unused, as halt lands on halting_config.
+_TABLE: dict[str, tuple[tuple[str, bool] | None, int, int]] = {
+    HALT: (None, 0, 0),
+    INCRA: (None, 1, 0),
+    INCRB: (None, 0, 1),
+    DECRA: (("a", False), -1, 0),
+    DECRB: (("b", False), 0, -1),
+    ISZA: (("a", True), 0, 0),
+    ISZB: (("b", True), 0, 0),
 }
+
+INSTRUCTIONS = tuple(_TABLE)
+
+
+def _row(instruction: str) -> tuple[tuple[str, bool] | None, int, int]:
+    try:
+        return _TABLE[instruction]
+    except KeyError:
+        raise MachineError(f"unknown instruction {instruction!r}") from None
 
 
 class Entry(Record):
@@ -107,7 +115,7 @@ RunResult = Halted | Stuck | OutOfFuel
 
 
 def _guards_overlap(i1: str, i2: str) -> bool:
-    g1, g2 = _GUARDS[i1], _GUARDS[i2]
+    g1, g2 = _TABLE[i1][0], _TABLE[i2][0]
     if g1 is None or g2 is None:
         return True
     if g1[0] != g2[0]:
@@ -123,8 +131,7 @@ def validate_machine(m: Machine) -> None:
         if not is_identifier(st):
             raise UnknownState(f"malformed state name {st!r}")
     for e in m.entries:
-        if e.instruction not in INSTRUCTIONS:
-            raise MachineError(f"unknown instruction {e.instruction!r}")
+        _row(e.instruction)  # raises on an unknown instruction
         if e.source not in m.states:
             raise UnknownState(f"entry source {e.source!r} is not declared")
         if e.target not in m.states:
@@ -157,7 +164,7 @@ def halting_config(m: Machine) -> Configuration:
 
 
 def _enabled(e: Entry, c: Configuration) -> bool:
-    guard = _GUARDS[e.instruction]
+    guard = _row(e.instruction)[0]
     if guard is None:
         return True
     value = c.a if guard[0] == "a" else c.b
@@ -175,27 +182,18 @@ def fired_entry(m: Machine, c: Configuration) -> Entry | None:
     return hits[0] if hits else None
 
 
+def apply_entry(m: Machine, e: Entry, c: Configuration) -> Configuration:
+    """The configuration after ``e``, enabled at ``c``, fires."""
+    if e.instruction == HALT:
+        return halting_config(m)
+    _, da, db = _TABLE[e.instruction]
+    return Configuration(e.target, c.a + da, c.b + db)
+
+
 def step(m: Machine, c: Configuration) -> tuple[str, Configuration] | None:
     """The unique enabled transition, or ``None`` when the machine is stuck."""
     e = fired_entry(m, c)
-    if e is None:
-        return None
-    match e.instruction:
-        case "halt":
-            nxt = Configuration(m.halting, 0, 0)
-        case "incra":
-            nxt = Configuration(e.target, c.a + 1, c.b)
-        case "incrb":
-            nxt = Configuration(e.target, c.a, c.b + 1)
-        case "decra":
-            nxt = Configuration(e.target, c.a - 1, c.b)
-        case "decrb":
-            nxt = Configuration(e.target, c.a, c.b - 1)
-        case "isza" | "iszb":
-            nxt = Configuration(e.target, c.a, c.b)
-        case _:
-            raise UnknownState(f"unknown instruction {e.instruction!r}")
-    return e.instruction, nxt
+    return None if e is None else (e.instruction, apply_entry(m, e, c))
 
 
 def run(m: Machine, c0: Configuration, max_steps: int) -> RunResult:

@@ -51,9 +51,9 @@ from .minsky import (
     Configuration,
     Entry,
     Machine,
+    apply_entry,
     fired_entry,
     halting_config,
-    step,
     validate_machine,
 )
 from .records import Record, fill
@@ -75,6 +75,8 @@ B_TOKEN = Qm(LABEL_B, NegAtom(TOKEN_B))
 _DRAIN_A = Tensor(Tensor(Atom(HALT_ATOM), Bang(LABEL_A, Atom(TOKEN_A))), NegAtom(HALT_ATOM))
 _DRAIN_B = Tensor(Tensor(Atom(HALT_ATOM), Bang(LABEL_B, Atom(TOKEN_B))), NegAtom(HALT_ATOM))
 _FINISHER = Tensor(Atom(HALT_ATOM), Bang(LABEL_INF, ONE))
+#: The helpers follow the entries' elements in this order.
+_HELPERS = (_DRAIN_A, _DRAIN_B, _FINISHER)
 
 
 def encoding_signature() -> Signature:
@@ -112,18 +114,16 @@ def entry_element(e: Entry) -> Formula:
 
 
 class ReductionBundle(Record):
-    """Everything the translations need about one encoded machine."""
+    """Everything the translations need about one encoded machine.  The
+    table is the entries' elements in order, then :data:`_HELPERS` if one halts."""
 
-    __slots__ = __match_args__ = (
-        "signature", "machine", "init", "table", "goal", "entry_elements", "drain_a", "drain_b", "finisher",
-    )
+    __slots__ = __match_args__ = ("signature", "machine", "init", "table", "goal")
 
     def __init__(
         self, signature: Signature, machine: Machine, init: Configuration, table: tuple[Formula, ...],
-        goal: Context, entry_elements: tuple[int, ...], drain_a: int | None, drain_b: int | None,
-        finisher: int | None,
+        goal: Context,
     ):
-        fill(self, signature, machine, init, table, goal, entry_elements, drain_a, drain_b, finisher)
+        fill(self, signature, machine, init, table, goal)
 
 
 def encode_halting(m: Machine, init: Configuration) -> ReductionBundle:
@@ -135,25 +135,11 @@ def encode_halting(m: Machine, init: Configuration) -> ReductionBundle:
         raise UnknownState(f"initial state {init.state!r} is not declared")
     if init.a < 0 or init.b < 0:
         raise ValueError("registers cannot be negative")
-    table = [entry_element(e) for e in m.entries]
-    entry_positions = tuple(range(len(table)))
+    table = tuple(entry_element(e) for e in m.entries)
     if any(e.instruction == HALT for e in m.entries):
-        drain_a, drain_b, finisher = len(table), len(table) + 1, len(table) + 2
-        table += [_DRAIN_A, _DRAIN_B, _FINISHER]
-    else:
-        drain_a = drain_b = finisher = None
+        table += _HELPERS
     goal = tuple(Qm(LABEL_INF, f) for f in table) + encode_config(init)
-    return ReductionBundle(
-        signature=encoding_signature(),
-        machine=m,
-        init=init,
-        table=tuple(table),
-        goal=goal,
-        entry_elements=entry_positions,
-        drain_a=drain_a,
-        drain_b=drain_b,
-        finisher=finisher,
-    )
+    return ReductionBundle(encoding_signature(), m, init, table, goal)
 
 
 #: The promotion side of a decrement: the focused bang keeps the lone
@@ -186,7 +172,9 @@ class _Builder:
         self.bundle = bundle
         self.sig = bundle.signature
         self.k = len(bundle.table)
-        self.element_at = {e: bundle.entry_elements[i] for i, e in enumerate(bundle.machine.entries)}
+        n = len(bundle.machine.entries)
+        self.element_at = {e: i for i, e in enumerate(bundle.machine.entries)}
+        self.drain_a, self.drain_b, self.finisher = range(n, n + len(_HELPERS))
         # (node, closed left premises) from the root down
         self.spine: list[tuple[FProof, tuple[FProof, ...]]] = []
 
@@ -214,11 +202,11 @@ class _Builder:
         for e in fired:
             fseq = self._fire(fseq, e)
         # burn leftover register tokens after the halt element fired
-        for tok, element in ((A_TOKEN, self.bundle.drain_a), (B_TOKEN, self.bundle.drain_b)):
+        for tok, element in ((A_TOKEN, self.drain_a), (B_TOKEN, self.drain_b)):
             while (t_pos := self._token(fseq, tok)) >= 0:
                 fseq = self._push(fseq, FProof(UDECIDE, principal=element))
                 fseq = self._spend(fseq, t_pos)
-        fseq = self._push(fseq, FProof(UDECIDE, principal=self.bundle.finisher))
+        fseq = self._push(fseq, FProof(UDECIDE, principal=self.finisher))
         t = FProof(FTENSOR, kept=(), split=(self._anchor(fseq),))
         fseq = self._push(fseq, t, FProof(FINIT, principal=0))
         fseq = self._push(fseq, FProof(FBANG, kept=()))
@@ -240,9 +228,7 @@ class _Builder:
                 return self._push(rf, FProof(PAR, principal=len(rf.context) - 1))
             case "isza" | "iszb":
                 return self._push(rf, FProof(FBANG, kept=tuple(range(len(rf.context)))))
-            case "halt":
-                return self._push(rf, FProof(BLUR))
-        raise AssertionError(f"unknown instruction {e.instruction!r}")
+        return self._push(rf, FProof(BLUR))  # halt
 
     def _spend(self, fseq: Sequent, t_pos: int) -> Sequent:
         """Shared shape of decrements and drains: a nested tensor consumes
@@ -281,7 +267,7 @@ def proof_from_trace(bundle: ReductionBundle, trace: Sequence[str]) -> FProof:
         if e.instruction != name:
             raise TraceMismatch(f"step {i} fires {e.instruction!r}, trace says {name!r}")
         fired.append(e)
-        _, c = step(m, c)
+        c = apply_entry(m, e, c)
     if c != target:
         raise TraceMismatch("trace stops before the halting configuration")
     return _Builder(bundle).certificate(fired)
@@ -306,8 +292,7 @@ def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
     # parts; inf is the only unbounded label and no table element contains
     # a ?inf, so every udecide principal is a goal element, found by identity
     element_ids = [*map(id, bundle.goal[: len(bundle.table)])]
-    names: list[str | None] = [e.instruction for e in bundle.machine.entries]
-    names += [None] * (len(bundle.table) - len(names))
+    names = [e.instruction for e in bundle.machine.entries]
 
     # per node, the pre-order index of its nearest ancestor-or-self that
     # carries a mnemonic (-1 for none); the mnemonics lie on one spine
@@ -326,7 +311,7 @@ def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
                         "udecide focuses a formula outside the instruction table"
                     )
                 j = element_ids.index(id(f))
-                if names[j] is not None:
+                if j < len(names):  # an entry's element, not a helper
                     if here != last:
                         raise MalformedCertificate(
                             "instruction steps spread across parallel branches"

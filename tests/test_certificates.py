@@ -498,6 +498,14 @@ class _SList:
         self.col = col
 
 
+class _SNum(int):
+    """A number that remembers its line and column."""
+
+
+class _SSym(str):
+    """A word that remembers its line and column."""
+
+
 def _read_sexpr(text, filename):
     toks = _char_lex(text, filename)
     if not toks:
@@ -512,7 +520,8 @@ def _read_sexpr(text, filename):
                 raise ParseError("unmatched closing parenthesis", line, col, filename)
             node = open_lists.pop()
         else:
-            node = val
+            node = (_SNum if kind == "num" else _SSym)(val)
+            node.line, node.col = line, col
         if open_lists:
             open_lists[-1].items.append(node)
             continue
@@ -527,9 +536,7 @@ def _read_sexpr(text, filename):
 class _Shape:
     def __init__(self, node, filename):
         if not isinstance(node, _SList) or not node.items or not isinstance(node.items[0], str):
-            line = getattr(node, "line", 1)
-            col = getattr(node, "col", 1)
-            raise ParseError("expected a (rule ...) form", line, col, filename)
+            raise ParseError("expected a (rule ...) form", node.line, node.col, filename)
         self.node = node
         self.filename = filename
         self.tag = node.items[0]
@@ -810,6 +817,18 @@ def test_parse_error_positions_point_at_the_offending_token():
     with pytest.raises(ParseError) as e:
         parse_focused_proof("(f1)\n(f1)")
     assert (e.value.line, e.value.column) == (2, 1)
+    # a lone word or number where a (rule ...) form belongs, at the top
+    # and as a premise
+    for parse, text, place in [
+        (parse_focused_proof, "\n  oops", (2, 3)),
+        (parse_focused_proof, "  42", (1, 3)),
+        (parse_focused_proof, "(decide 0\n  oops)", (2, 3)),
+        (parse_focused_proof, "(blur\n 7)", (2, 2)),
+        (parse_unfocused_proof, "(with 0 (top 0)\n   x)", (2, 4)),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse(text, "c.cert")
+        assert str(e.value) == "c.cert:%d:%d: expected a (rule ...) form" % place
 
 
 def test_parse_error_carries_filename():

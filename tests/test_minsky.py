@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from selogic.errors import (
 )
 from selogic.generators import random_machine
 from selogic.minsky import (
+    INSTRUCTIONS,
     Configuration,
     Entry,
     Halted,
@@ -95,6 +97,19 @@ def test_fired_entry_respects_guards():
     assert fired_entry(m, Configuration("q1", 0, 0)) is None
 
 
+# Each instruction's next configuration (state, a, b) from q0 at registers
+# (0, 0), (1, 0), (0, 1) and (1, 1); None where its guard blocks it.
+STEPS = {
+    "halt": [("qh", 0, 0)] * 4,
+    "incra": [("q1", 1, 0), ("q1", 2, 0), ("q1", 1, 1), ("q1", 2, 1)],
+    "incrb": [("q1", 0, 1), ("q1", 1, 1), ("q1", 0, 2), ("q1", 1, 2)],
+    "decra": [None, ("q1", 0, 0), None, ("q1", 0, 1)],
+    "decrb": [None, None, ("q1", 0, 0), ("q1", 1, 0)],
+    "isza": [("q1", 0, 0), None, ("q1", 0, 1), None],
+    "iszb": [("q1", 0, 0), ("q1", 1, 0), None, None],
+}
+
+
 def test_step_applies_register_effects():
     m = machine(Entry("q0", "incra", "q1"), Entry("q1", "halt", "qh"))
     mnemonic, after = step(m, Configuration("q0", 0, 0))
@@ -104,6 +119,35 @@ def test_step_applies_register_effects():
     mnemonic, c = step(m, Configuration("q1", 3, 4))
     assert mnemonic == "halt"
     assert c == halting_config(m)
+    assert sorted(STEPS) == sorted(INSTRUCTIONS)
+    for instr, expected in STEPS.items():
+        m = machine(Entry("q0", instr, "qh" if instr == "halt" else "q1"))
+        for (a, b), after in zip([(0, 0), (1, 0), (0, 1), (1, 1)], expected):
+            got = step(m, Configuration("q0", a, b))
+            assert got == (None if after is None else (instr, Configuration(*after))), (instr, a, b)
+
+
+def test_guard_overlap_of_every_instruction_pair():
+    disjoint = {frozenset({"decra", "isza"}), frozenset({"decrb", "iszb"})}
+    pairs = list(combinations_with_replacement(INSTRUCTIONS, 2))
+    assert len(pairs) == 28
+    for i1, i2 in pairs:
+        m = machine(
+            Entry("q0", i1, "qh" if i1 == "halt" else "q1"),
+            Entry("q0", i2, "qh" if i2 == "halt" else "q2"),
+            states=("q0", "q1", "q2", "qh"),
+        )
+        if frozenset({i1, i2}) in disjoint:
+            validate_machine(m)
+        else:
+            with pytest.raises(NondeterministicState):
+                validate_machine(m)
+
+
+def test_run_rejects_an_unknown_instruction_of_an_unvalidated_machine():
+    m = machine(Entry("q0", "jump", "qh"))
+    with pytest.raises(MachineError, match="^unknown instruction 'jump'$"):
+        run(m, Configuration("q0", 0, 0), max_steps=5)
 
 
 def test_run_outcomes():

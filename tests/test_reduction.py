@@ -1,5 +1,6 @@
 import pytest
 
+from selogic.certificates import parse_focused_proof
 from selogic.corpus import load_corpus
 from selogic.errors import (
     AtomClash,
@@ -18,9 +19,10 @@ from selogic.focusing import (
 )
 from selogic.formulas import NegAtom, Qm, Sequent
 from selogic.minsky import Configuration, Entry, Halted, Machine, run
-from selogic.parsing import print_formula
+from selogic.parsing import parse_sequent, print_formula
 from selogic.prover import Proved, prove_focused
 from selogic.reduction import (
+    ReductionBundle,
     encode_config,
     encode_halting,
     encoding_signature,
@@ -72,21 +74,18 @@ def test_goal_is_the_wrapped_table_plus_the_configuration():
     assert bundle.goal[:n] == tuple(Qm("inf", f) for f in bundle.table)
     assert bundle.goal[n:] == (NegAtom("q0"),)
     # entry positions first, then the two drains and the finisher
-    assert bundle.entry_elements == (0, 1)
-    assert (bundle.drain_a, bundle.drain_b, bundle.finisher) == (2, 3, 4)
-    assert print_formula(bundle.table[bundle.drain_a]) == "((__h * !a __ra) * ~__h)"
-    assert print_formula(bundle.table[bundle.drain_b]) == "((__h * !b __rb) * ~__h)"
-    assert print_formula(bundle.table[bundle.finisher]) == "(__h * !inf 1)"
+    assert [print_formula(f) for f in bundle.table[len(m.entries):]] == [
+        "((__h * !a __ra) * ~__h)",
+        "((__h * !b __rb) * ~__h)",
+        "(__h * !inf 1)",
+    ]
 
 
 def test_drain_trio_only_with_a_halt_entry():
     m, init = load_corpus("loop")
     bundle = encode_halting(m, init)
     assert len(bundle.table) == 2
-    assert bundle.entry_elements == (0, 1)
-    assert bundle.drain_a is None
-    assert bundle.drain_b is None
-    assert bundle.finisher is None
+    assert bundle.table[len(m.entries):] == ()
 
 
 def test_reserved_atoms_collide_with_state_names():
@@ -210,3 +209,31 @@ def test_defocus_walks_the_certificate_once(walks):
     proof = proof_from_trace(bundle, run(m, init, max_steps=200).trace)
     defocus(proof, bundle.signature, Sequent(bundle.goal))
     assert walks == [proof]
+
+
+# One step's branch on a hand-built goal: udecide the table's q0 element and
+# close the state atom, leaving the rest to top.
+_STEP = "(udecide 0 (ftensor (kept) (left 1) (finit 0) (blur (top 1))))"
+
+
+@pytest.mark.parametrize(
+    "goal,elements,proof,message",
+    [
+        ("|- ?inf (q0 * top), ~q0", 1, _STEP, "certificate never fires a halt instruction"),
+        (
+            "|- ?inf (q0 * top), (~q0 & ~q0)",
+            1,
+            f"(with 1 {_STEP} {_STEP})",
+            "instruction steps spread across parallel branches",
+        ),
+        ("|- ?inf (q0 * top), ~q0", 0, _STEP, "udecide focuses a formula outside the instruction table"),
+    ],
+)
+def test_trace_from_proof_rejects_what_is_not_one_halting_run(goal, elements, proof, message):
+    m, init = load_corpus("incra_halt")
+    goal = parse_sequent(goal).context
+    table = tuple(f.body for f in goal[:elements])
+    bundle = ReductionBundle(encoding_signature(), m, init, table, goal)
+    with pytest.raises(MalformedCertificate) as e:
+        trace_from_proof(bundle, parse_focused_proof(proof))
+    assert str(e.value) == message
