@@ -54,8 +54,9 @@ from .parsing import (
     print_sequent,
     print_signature,
 )
-from .unfocused import UProof, check_unfocused, proof_size, search_unfocused
-from .focusing import FProof, check_focused, count_decides, defocus, is_neutral
+from .records import rule_counts
+from .unfocused import UProof, check_unfocused, search_unfocused
+from .focusing import FProof, check_focused, defocus, is_neutral
 from .prover import Exhausted, Proved, SearchStats, prove_focused
 from .minsky import (
     Configuration,

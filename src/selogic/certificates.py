@@ -43,7 +43,8 @@ as it closes, by one constructor call from a table of each rule's
 arguments.  Only a rejected text is read again, keeping each token's
 character offset, to name its first error: a bad character, else a fault
 of the parentheses, else the first malformed node in pre-order; only that
-error's offset becomes a line and column.  Printing and reading walk with
+error's offset becomes a line and column.  The printer writes each node's
+head from the same table.  Printing and reading walk with
 explicit stacks: time is linear in the text, and depth is not bounded by
 the recursion limit.
 """
@@ -55,7 +56,6 @@ from itertools import zip_longest
 
 from .errors import ParseError
 from .focusing import FProof
-from . import unfocused as uf
 from .unfocused import UProof
 
 
@@ -192,14 +192,28 @@ def _fbang(t, kept, a):
     return None if kept is None else FProof(t, None, None, kept, (a,))
 
 
+#: How a node prints its arguments before its premises, by kind: the
+#: principal, init's pair (the only rule with two numbers), and the lists.
+_WORDS = {
+    "n": lambda p: str(p.principal),
+    "nn": lambda p: f"{p.pair[0]} {p.pair[1]}",
+    "k": lambda p: _positions("kept", p.kept),
+    "l": lambda p: _positions("left", p.split),
+}
+
+
 def _calculus(name: str, proof_class: type, rules: dict) -> tuple:
     """A rule table: each tag's arguments, as a string with ``n`` for a
     position number, ``k`` and ``l`` for ``(kept ...)`` and ``(left ...)``
     lists and ``s`` for a premise, and the constructor call that builds
-    the node from its list."""
+    the node from its list.  The printer reads the same string: its
+    :data:`_WORDS` for the arguments before the premises."""
     types = {"n": int, "k": list, "l": list, "s": proof_class}
     return name, proof_class, {
-        tag: ([str, *map(types.get, kinds)], make, kinds) for tag, (kinds, make) in rules.items()
+        tag: (
+            [str, *map(types.get, kinds)], make, kinds, [*map(_WORDS.get, re.findall("nn|[nkl]", kinds))]
+        )
+        for tag, (kinds, make) in rules.items()
     }
 
 
@@ -242,35 +256,19 @@ def parse_focused_proof(text: str, filename: str | None = None) -> FProof:
 
 
 def print_unfocused_proof(proof: UProof) -> str:
-    return _layout(proof, _u_head)
-
-
-def _u_head(p: UProof) -> str:
-    match p.rule:
-        case uf.INIT:
-            return f"init {p.pair[0]} {p.pair[1]}"
-        case uf.ONE_RULE:
-            return "one"
-        case uf.TENSOR:
-            return f"tensor {p.principal} {_positions('left', p.split)}"
-        case _:  # top, with and the one-premise rules
-            return f"{p.rule} {p.principal}"
+    return _layout(proof, _UNFOCUSED)
 
 
 def print_focused_proof(proof: FProof) -> str:
-    return _layout(proof, _f_head)
+    return _layout(proof, _FOCUSED)
 
 
-def _f_head(p: FProof) -> str:
-    match p.rule:
-        case "ftensor":
-            return f"ftensor {_positions('kept', p.kept)} {_positions('left', p.split)}"
-        case "fbang":
-            return f"fbang {_positions('kept', p.kept)}"
-        case "f1" | "fplus1" | "fplus2" | "blur":
-            return p.rule
-        case _:  # finit, top, with, par, bot and the decide flavours
-            return f"{p.rule} {p.principal}"
+def _head(node, words: list) -> str:
+    """The node's rule, then each argument that is not a premise."""
+    text = node.rule
+    for word in words:
+        text += " " + word(node)
+    return text
 
 
 def _positions(marker: str, positions: tuple[int, ...]) -> str:
@@ -280,16 +278,17 @@ def _positions(marker: str, positions: tuple[int, ...]) -> str:
 _WIDTH = 96
 
 
-def _layout(root, head) -> str:
+def _layout(root, calculus: tuple) -> str:
     """Print a proof tree in time linear in the text, without recursing.
 
-    ``head`` gives a node's own tokens: its rule, numbers and position
-    lists.  A node goes on one line when that line, with its indent and
-    the closing parentheses its ancestors append to it, fits in
-    ``_WIDTH`` columns.  Otherwise its head stays on the line and each
-    premise starts a new one.  Only a premise that is not its parent's
-    last is indented deeper, so the spine of single premises and right
-    premises of a long proof does not march right.
+    A node's head is its own tokens, as the rule table of ``calculus``
+    lists them: its rule, numbers and position lists.  A node goes on one
+    line when that line, with its indent and the closing parentheses its
+    ancestors append to it, fits in ``_WIDTH`` columns.  Otherwise its
+    head stays on the line and each premise starts a new one.  Only a
+    premise that is not its parent's last is indented deeper, so the spine
+    of single premises and right premises of a long proof does not march
+    right.
     """
     # Breadth-first order: node i's premises are nodes first[i] onwards,
     # and every node comes after its ancestors.
@@ -298,7 +297,8 @@ def _layout(root, head) -> str:
     for node in order:
         first.append(len(order))
         order.extend(node.premises)
-    heads = [head(node) for node in order]
+    rules = calculus[2]
+    heads = [_head(node, rules[node.rule][3]) for node in order]
 
     # Pass 1, bottom-up: each node's one-line width, and its one-line text
     # when that is short enough to ever be printed whole.  Those texts are

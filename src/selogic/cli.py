@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .certificates import (
@@ -22,14 +23,15 @@ from .certificates import (
 )
 from .corpus import corpus_names, load_corpus
 from .errors import CheckError, MalformedCertificate, TraceMismatch
-from .focusing import check_focused, count_decides, defocus
+from .focusing import DECIDE_RULES, check_focused, defocus
 from .formulas import Sequent
 from .generators import random_context, random_signature
 from .minsky import Halted, OutOfFuel, Stuck, load_machine, print_trace, run
 from .parsing import parse_sequent, parse_signature, print_sequent, print_signature
 from .prover import Proved, prove_focused
+from .records import rule_counts
 from .reduction import encode_halting, proof_from_trace, trace_from_proof
-from .unfocused import CONTR, check_unfocused, count_rule, proof_size
+from .unfocused import CONTR, check_unfocused
 
 
 def _machine(arg: str):
@@ -44,6 +46,11 @@ def _machine(arg: str):
 def _write(path: str, text: str, label: str):
     Path(path).write_text(text)
     print(f"{label}: {path}")
+
+
+def _decides(counts: Counter) -> int:
+    """The decides of a focused proof, from its :func:`rule_counts`."""
+    return sum(counts[r] for r in DECIDE_RULES)
 
 
 def cmd_simulate(args) -> int:
@@ -95,9 +102,10 @@ def cmd_prove(args) -> int:
     sig, goal = bundle.signature, Sequent(bundle.goal)
     result = prove_focused(sig, goal, max_decides=args.max_decides, max_nodes=args.max_nodes)
     if isinstance(result, Proved):
+        counts = rule_counts(result.proof)
         print("outcome: proved")
-        print(f"proof-decides: {count_decides(result.proof)}")
-        print(f"proof-size: {proof_size(result.proof)}")
+        print(f"proof-decides: {_decides(counts)}")
+        print(f"proof-size: {counts.total()}")
         print(f"nodes: {result.stats.nodes}")
         print(f"rounds: {result.stats.rounds}")
         if args.proof_out:
@@ -124,11 +132,11 @@ def cmd_check(args) -> int:
         if args.calculus == "focused":
             fproof = parse_focused_proof(text, args.proof)
             check_focused(sig, seq, fproof)
-            size = proof_size(fproof)
+            size = rule_counts(fproof).total()
         else:
             uproof = parse_unfocused_proof(text, args.proof)
             check_unfocused(sig, seq, uproof)
-            size = proof_size(uproof)
+            size = rule_counts(uproof).total()
     except CheckError as e:
         print("outcome: rejected")
         print(f"reason: {e.reason.value}")
@@ -180,10 +188,11 @@ def cmd_synthesize(args) -> int:
     bundle = encode_halting(*loaded)
     proof = proof_from_trace(bundle, trace)
     check_focused(bundle.signature, Sequent(bundle.goal), proof)
+    counts = rule_counts(proof)
     print("outcome: synthesized")
     print(f"steps: {len(trace)}")
-    print(f"proof-decides: {count_decides(proof)}")
-    print(f"proof-size: {proof_size(proof)}")
+    print(f"proof-decides: {_decides(counts)}")
+    print(f"proof-size: {counts.total()}")
     if args.proof_out:
         _write(args.proof_out, print_focused_proof(proof), "proof-file")
     return 0
@@ -201,9 +210,10 @@ def cmd_roundtrip(args) -> int:
     back = trace_from_proof(bundle, proof)
     print("outcome: halted")
     print(f"steps: {len(trace)}")
-    print(f"proof-decides: {count_decides(proof)}")
-    print(f"unfocused-rules: {proof_size(unfocused)}")
-    print(f"contractions: {count_rule(unfocused, CONTR)}")
+    counts = rule_counts(unfocused)
+    print(f"proof-decides: {_decides(rule_counts(proof))}")
+    print(f"unfocused-rules: {counts.total()}")
+    print(f"contractions: {counts[CONTR]}")
     print(f"agreement: {'yes' if back == trace else 'no'}")
     return 0 if back == trace else 1
 

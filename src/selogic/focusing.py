@@ -253,10 +253,6 @@ def checked_nodes(sig: Signature, goal: Sequent, proof: FProof):
     return uf.checked_nodes(sig, fpremise_plans, goal, proof)
 
 
-def count_decides(proof: FProof) -> int:
-    return sum(1 for node in uf.proof_nodes(proof) if node.rule in DECIDE_RULES)
-
-
 # --- defocusing -------------------------------------------------------------
 #
 # :func:`defocus` drains the walk that :func:`check_focused` drains, after

@@ -4,8 +4,9 @@ Formulas are in negation normal form: negation appears only on atoms, and
 the indexed exponentials come as a bang/question-mark pair over labels drawn
 from an ambient signature.  All nodes are immutable slotted classes, so
 formulas, contexts and sequents are hashable values that can be shared
-freely.  Equality, hashing and ``repr`` walk a formula with an explicit
-stack, so depth is not bounded by the recursion limit.  One
+freely.  Equality and hashing read one pre-order key, and ``repr`` walks a
+formula too, each with an explicit stack, so depth is not bounded by the
+recursion limit.  One
 :class:`Sequent` class serves both calculi: a context plus a focus, which
 the unfocused calculus leaves empty.
 """
@@ -21,20 +22,24 @@ class _Formula(Value):
     __slots__ = ()
     __match_args__ = ()
 
-    def __eq__(self, other):
-        if not isinstance(other, _Formula):
-            return NotImplemented
-        return _same(self, other)
-
-    def __hash__(self):
-        # pre-order (type, data) pairs determine the formula
+    def _flat(self) -> list:
+        """The (type, data) pairs of the nodes in pre-order, which determine
+        the formula."""
         out, pending = [], [self]
         while pending:
             f = pending.pop()
             data, kids = _shape(f)
             out += type(f), data
             pending += kids
-        return hash(tuple(out))
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, _Formula):
+            return NotImplemented
+        return self is other or self._flat() == other._flat()
+
+    def __hash__(self):
+        return hash(tuple(self._flat()))
 
 
 class _Named(_Formula):
@@ -206,33 +211,6 @@ def _shape(f: Formula) -> tuple[str | None, tuple[Formula, ...]]:
     if t in _NAMED:
         return f.name, ()
     return None, ()
-
-
-def _same(x: Formula, y: Formula) -> bool:
-    """Whether two formulas are equal, walking both with explicit stacks,
-    so depth is not bounded by the recursion limit.  The dispatch is
-    inline, because this is ``==`` on formulas: a call per node, as
-    :func:`_shape` would make, tripled its cost.
-    """
-    xs, ys = [x], [y]
-    while xs:
-        x, y = xs.pop(), ys.pop()
-        if x is not y:
-            t = type(x)
-            if t is not type(y):
-                return False
-            if t in _NAMED:
-                if x.name != y.name:
-                    return False
-            elif t in _BINARY:
-                xs += x.right, x.left
-                ys += y.right, y.left
-            elif t in _UNARY:
-                if x.label != y.label:
-                    return False
-                xs.append(x.body)
-                ys.append(y.body)
-    return True
 
 
 def intern_table(*roots: Formula) -> dict[int, int]:

@@ -59,7 +59,8 @@ _TABLE: dict[str, tuple[tuple[str, bool] | None, int, int]] = {
 INSTRUCTIONS = tuple(_TABLE)
 
 
-def _row(instruction: str) -> tuple[tuple[str, bool] | None, int, int]:
+def instruction_row(instruction: str) -> tuple[tuple[str, bool] | None, int, int]:
+    """The guard of ``instruction`` and its change to a and b, from :data:`_TABLE`."""
     try:
         return _TABLE[instruction]
     except KeyError:
@@ -131,7 +132,7 @@ def validate_machine(m: Machine) -> None:
         if not is_identifier(st):
             raise UnknownState(f"malformed state name {st!r}")
     for e in m.entries:
-        _row(e.instruction)  # raises on an unknown instruction
+        instruction_row(e.instruction)  # raises on an unknown instruction
         if e.source not in m.states:
             raise UnknownState(f"entry source {e.source!r} is not declared")
         if e.target not in m.states:
@@ -164,7 +165,7 @@ def halting_config(m: Machine) -> Configuration:
 
 
 def _enabled(e: Entry, c: Configuration) -> bool:
-    guard = _row(e.instruction)[0]
+    guard = instruction_row(e.instruction)[0]
     if guard is None:
         return True
     value = c.a if guard[0] == "a" else c.b

@@ -12,10 +12,15 @@ Every class here has the value semantics of a frozen dataclass, the same
 ``repr`` included.  :class:`Record` compares and hashes by fields; formulas
 and proof nodes (:class:`ProofNode`) are trees of any depth, and walk them
 with an explicit stack, so depth is not bounded by the recursion limit.
+:func:`proof_nodes` is the one walk over a proof tree: a proof node's
+``==`` and ``hash`` read it, and so does :func:`rule_counts`, the census
+that gives a proof's size and its count of any rule.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterator
 from operator import attrgetter
 
 #: Sets a field of a frozen instance; only ``__init__`` calls it.
@@ -91,19 +96,16 @@ class Record(Value):
 
 class ProofNode(Value):
     """A proof node: its last field is the tuple of premises, the others
-    are its own data.  ``==`` and ``hash`` walk the tree with an explicit
-    stack, as :func:`~selogic.unfocused.proof_nodes` does."""
+    are its own data.  ``==`` and ``hash`` read :func:`proof_nodes`."""
 
     __slots__ = ()
 
     def _flat(self) -> list:
         """The (type, data, arity) triples of the nodes in pre-order, which
         determine the tree."""
-        out, pending = [], [self]
-        while pending:
-            x = pending.pop()
+        out = []
+        for x in proof_nodes(self):
             out += type(x), tuple(map(x.__getattribute__, x.__match_args__[:-1])), len(x.premises)
-            pending += x.premises
         return out
 
     def __eq__(self, other):
@@ -113,3 +115,22 @@ class ProofNode(Value):
 
     def __hash__(self):
         return hash(tuple(self._flat()))
+
+
+def proof_nodes(proof: ProofNode) -> Iterator[ProofNode]:
+    """Every node of a focused or unfocused proof tree, in pre-order.
+
+    Walks with an explicit stack, so tree depth is not bounded by the
+    recursion limit.  A premise object shared by several parents is
+    yielded once per occurrence, as in the tree the text prints.
+    """
+    pending = [proof]
+    while pending:
+        node = pending.pop()
+        yield node
+        pending.extend(reversed(node.premises))
+
+
+def rule_counts(proof: ProofNode) -> Counter:
+    """How many nodes of ``proof`` each rule has; ``.total()`` is its size."""
+    return Counter(node.rule for node in proof_nodes(proof))

@@ -12,8 +12,9 @@ structural:
 * decrements demand one token via a ``!``-promotion at the register's label,
 * zero tests promote at the *other* register's label, which succeeds only
   when no token of the tested register is around to block it,
-* halting trades the state atom for a halt token ``~__h``, after which three
-  shared helper elements drain leftover tokens and finally close the proof
+* halting trades the state atom for a halt token ``~__h``, after which two
+  drains, the elements of a ``decra`` and a ``decrb`` entry from the halt
+  token to itself, burn leftover tokens, and a finisher closes the proof
   with ``!inf 1``.
 
 The goal context is derivable exactly when the machine halts from the given
@@ -44,9 +45,10 @@ from .focusing import (
     checked_nodes,
     fpremise_plans,
 )
-from .formulas import ONE, Atom, Bang, Context, Formula, NegAtom, Par, Qm, Sequent, Tensor
+from .formulas import ONE, Atom, Bang, Context, Formula, NegAtom, Par, Qm, Sequent, Tensor, dual
 from .minsky import (
     DECRA,
+    DECRB,
     HALT,
     Configuration,
     Entry,
@@ -54,6 +56,7 @@ from .minsky import (
     apply_entry,
     fired_entry,
     halting_config,
+    instruction_row,
     validate_machine,
 )
 from .records import Record, fill
@@ -71,12 +74,12 @@ RESERVED_ATOMS = frozenset({HALT_ATOM, TOKEN_A, TOKEN_B})
 
 A_TOKEN = Qm(LABEL_A, NegAtom(TOKEN_A))
 B_TOKEN = Qm(LABEL_B, NegAtom(TOKEN_B))
+#: Each register's token, by the name the machine's guards use.
+_TOKENS = {"a": A_TOKEN, "b": B_TOKEN}
 
-_DRAIN_A = Tensor(Tensor(Atom(HALT_ATOM), Bang(LABEL_A, Atom(TOKEN_A))), NegAtom(HALT_ATOM))
-_DRAIN_B = Tensor(Tensor(Atom(HALT_ATOM), Bang(LABEL_B, Atom(TOKEN_B))), NegAtom(HALT_ATOM))
+#: After a halt, the drains follow the entries' elements, then the finisher.
+_DRAINS = (Entry(HALT_ATOM, DECRA, HALT_ATOM), Entry(HALT_ATOM, DECRB, HALT_ATOM))
 _FINISHER = Tensor(Atom(HALT_ATOM), Bang(LABEL_INF, ONE))
-#: The helpers follow the entries' elements in this order.
-_HELPERS = (_DRAIN_A, _DRAIN_B, _FINISHER)
 
 
 def encoding_signature() -> Signature:
@@ -94,28 +97,25 @@ def encode_config(c: Configuration) -> Context:
 
 
 def entry_element(e: Entry) -> Formula:
+    """The element of ``e``, shaped by its instruction's guard and register change."""
+    guard, da, db = instruction_row(e.instruction)
     src = Atom(e.source)
-    match e.instruction:
-        case "halt":
-            return Tensor(src, NegAtom(HALT_ATOM))
-        case "incra":
-            return Tensor(src, Par(NegAtom(e.target), A_TOKEN))
-        case "incrb":
-            return Tensor(src, Par(NegAtom(e.target), B_TOKEN))
-        case "decra":
-            return Tensor(Tensor(src, Bang(LABEL_A, Atom(TOKEN_A))), NegAtom(e.target))
-        case "decrb":
-            return Tensor(Tensor(src, Bang(LABEL_B, Atom(TOKEN_B))), NegAtom(e.target))
-        case "isza":
-            return Tensor(src, Bang(LABEL_B, NegAtom(e.target)))
-        case "iszb":
-            return Tensor(src, Bang(LABEL_A, NegAtom(e.target)))
-    raise AssertionError(f"unknown instruction {e.instruction!r}")
+    if e.instruction == HALT:
+        return Tensor(src, NegAtom(HALT_ATOM))
+    dest = NegAtom(e.target)
+    if guard is None:  # an increment emits a fresh token
+        return Tensor(src, Par(dest, A_TOKEN if da else B_TOKEN))
+    register, zero = guard
+    if zero:  # a zero test promotes at the other register's label
+        other = _TOKENS["b" if register == "a" else "a"]
+        return Tensor(src, Bang(other.label, dest))
+    return Tensor(Tensor(src, dual(_TOKENS[register])), dest)  # a decrement demands a token
 
 
 class ReductionBundle(Record):
     """Everything the translations need about one encoded machine.  The
-    table is the entries' elements in order, then :data:`_HELPERS` if one halts."""
+    table is the entries' elements in order, then, if one halts, the
+    elements of :data:`_DRAINS` and the finisher."""
 
     __slots__ = __match_args__ = ("signature", "machine", "init", "table", "goal")
 
@@ -135,9 +135,9 @@ def encode_halting(m: Machine, init: Configuration) -> ReductionBundle:
         raise UnknownState(f"initial state {init.state!r} is not declared")
     if init.a < 0 or init.b < 0:
         raise ValueError("registers cannot be negative")
-    table = tuple(entry_element(e) for e in m.entries)
+    table = tuple(map(entry_element, m.entries))
     if any(e.instruction == HALT for e in m.entries):
-        table += _HELPERS
+        table += (*map(entry_element, _DRAINS), _FINISHER)
     goal = tuple(Qm(LABEL_INF, f) for f in table) + encode_config(init)
     return ReductionBundle(encoding_signature(), m, init, table, goal)
 
@@ -172,9 +172,7 @@ class _Builder:
         self.bundle = bundle
         self.sig = bundle.signature
         self.k = len(bundle.table)
-        n = len(bundle.machine.entries)
-        self.element_at = {e: i for i, e in enumerate(bundle.machine.entries)}
-        self.drain_a, self.drain_b, self.finisher = range(n, n + len(_HELPERS))
+        self.element_at = {e: i for i, e in enumerate(bundle.machine.entries + _DRAINS)}
         # (node, closed left premises) from the root down
         self.spine: list[tuple[FProof, tuple[FProof, ...]]] = []
 
@@ -202,11 +200,11 @@ class _Builder:
         for e in fired:
             fseq = self._fire(fseq, e)
         # burn leftover register tokens after the halt element fired
-        for tok, element in ((A_TOKEN, self.drain_a), (B_TOKEN, self.drain_b)):
-            while (t_pos := self._token(fseq, tok)) >= 0:
-                fseq = self._push(fseq, FProof(UDECIDE, principal=element))
-                fseq = self._spend(fseq, t_pos)
-        fseq = self._push(fseq, FProof(UDECIDE, principal=self.finisher))
+        ids = [*map(id, fseq.context)]
+        for drain, tok in zip(_DRAINS, (A_TOKEN, B_TOKEN)):
+            for _ in range(ids.count(id(tok))):
+                fseq = self._fire(fseq, drain)
+        fseq = self._push(fseq, FProof(UDECIDE, principal=self.k - 1))  # the finisher
         t = FProof(FTENSOR, kept=(), split=(self._anchor(fseq),))
         fseq = self._push(fseq, t, FProof(FINIT, principal=0))
         fseq = self._push(fseq, FProof(FBANG, kept=()))
@@ -217,29 +215,28 @@ class _Builder:
         return proof
 
     def _fire(self, fseq: Sequent, e: Entry) -> Sequent:
+        """Put the steps of firing ``e``'s element on the spine, shaped by
+        its instruction's guard and register change."""
+        guard = instruction_row(e.instruction)[0]
         fseq = self._push(fseq, FProof(UDECIDE, principal=self.element_at[e]))
-        if e.instruction in ("decra", "decrb"):
-            return self._spend(fseq, self._token(fseq, A_TOKEN if e.instruction == DECRA else B_TOKEN))
+        if guard is not None and not guard[1]:
+            # a decrement: a nested tensor consumes the register's first
+            # token plus the anchor atom's negation, and the right branch
+            # resumes with a fresh anchor negation appended
+            t_pos, a_pos = self._token(fseq, _TOKENS[guard[0]]), self._anchor(fseq)
+            outer = FProof(FTENSOR, kept=(), split=tuple(sorted((a_pos, t_pos))))
+            # the left premise holds the anchor and the token in context order
+            split = (int(t_pos < a_pos),)
+            left = FProof(FTENSOR, None, split, (), (FProof(FINIT, principal=0), _CONSUME_TOKEN))
+            return self._push(self._push(fseq, outer, left), FProof(BLUR))
         t = FProof(FTENSOR, kept=(), split=(self._anchor(fseq),))
         rf = self._push(fseq, t, FProof(FINIT, principal=0))
-        match e.instruction:
-            case "incra" | "incrb":
-                rf = self._push(rf, FProof(BLUR))
-                return self._push(rf, FProof(PAR, principal=len(rf.context) - 1))
-            case "isza" | "iszb":
-                return self._push(rf, FProof(FBANG, kept=tuple(range(len(rf.context)))))
-        return self._push(rf, FProof(BLUR))  # halt
-
-    def _spend(self, fseq: Sequent, t_pos: int) -> Sequent:
-        """Shared shape of decrements and drains: a nested tensor consumes
-        the register token at ``t_pos`` plus the anchor atom's negation, and
-        the right branch resumes with a fresh anchor negation appended."""
-        a_pos = self._anchor(fseq)
-        outer = FProof(FTENSOR, kept=(), split=tuple(sorted((a_pos, t_pos))))
-        # the left premise holds the anchor and the token in context order
-        split = (int(t_pos < a_pos),)
-        left = FProof(FTENSOR, None, split, (), (FProof(FINIT, principal=0), _CONSUME_TOKEN))
-        return self._push(self._push(fseq, outer, left), FProof(BLUR))
+        if guard is not None:  # a zero test
+            return self._push(rf, FProof(FBANG, kept=tuple(range(len(rf.context)))))
+        rf = self._push(rf, FProof(BLUR))
+        if e.instruction == HALT:
+            return rf
+        return self._push(rf, FProof(PAR, principal=len(rf.context) - 1))  # an increment
 
 
 def proof_from_trace(bundle: ReductionBundle, trace: Sequence[str]) -> FProof:
@@ -278,7 +275,7 @@ def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
 
     Every udecide in a certificate for an encoded goal focuses some table
     element; those carrying machine entries yield their mnemonics, the
-    three draining helpers are bookkeeping and yield nothing.  The steps of
+    drains and the finisher are bookkeeping and yield nothing.  The steps of
     a run cannot spread over parallel branches — each one consumes the
     unique state atom — so the mnemonics concatenate along a single spine.
     The check is :func:`~selogic.focusing.check_focused`'s walk.  A
@@ -311,7 +308,7 @@ def trace_from_proof(bundle: ReductionBundle, proof: FProof) -> tuple[str, ...]:
                         "udecide focuses a formula outside the instruction table"
                     )
                 j = element_ids.index(id(f))
-                if j < len(names):  # an entry's element, not a helper
+                if j < len(names):  # an entry's element, not a drain or the finisher
                     if here != last:
                         raise MalformedCertificate(
                             "instruction steps spread across parallel branches"

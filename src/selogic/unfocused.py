@@ -352,22 +352,6 @@ def checked_nodes(sig: Signature, plans_of, goal: Sequent, proof):
             pending.append((i, k, seq, plans[k], node.premises[k]))
 
 
-# --- proof statistics -------------------------------------------------------
-
-def proof_nodes(proof):
-    """Every node of a focused or unfocused proof tree, in pre-order.
-
-    Walks with an explicit stack, so tree depth is not bounded by the
-    recursion limit.  A premise object shared by several parents is
-    yielded once per occurrence, as in the tree the text prints.
-    """
-    pending = [proof]
-    while pending:
-        node = pending.pop()
-        yield node
-        pending.extend(reversed(node.premises))
-
-
 def assemble(order: list[tuple[list[tuple], int]]) -> UProof:
     """Build an unfocused proof bottom-up from one ``(chain, arity)`` pair
     per node, in pre-order: ``chain`` lists rule heads as ``(rule,
@@ -385,14 +369,6 @@ def assemble(order: list[tuple[list[tuple], int]]) -> UProof:
             subs = (UProof(*head, subs),)
         built.append(subs[0])
     return built[0]
-
-
-def proof_size(proof: UProof) -> int:
-    return sum(1 for _ in proof_nodes(proof))
-
-
-def count_rule(proof: UProof, rule: str) -> int:
-    return sum(1 for node in proof_nodes(proof) if node.rule == rule)
 
 
 # --- bounded search (test oracle) ------------------------------------------

@@ -48,14 +48,13 @@ from selogic.generators import random_context, random_formula, random_machine, r
 from selogic.minsky import Halted, parse_machine, print_machine, run
 from selogic.parsing import parse_formula, parse_signature, print_formula, print_signature
 from selogic.prover import Proved, prove_focused
+from selogic.records import rule_counts
 from selogic.reduction import encode_halting, encoding_signature, proof_from_trace, trace_from_proof
 from selogic.signatures import is_unbounded
 from selogic.unfocused import (
     check_unfocused,
-    count_rule,
     materialize,
     premise_plans,
-    proof_size,
     search_unfocused,
 )
 
@@ -385,8 +384,9 @@ def test_criterion_4_unfocused_proofs_imply_focused_proofs():
                 # budget sensitivity, not a disagreement: the defocused proof
                 # itself fits the raised budget, so the search must succeed
                 raised += 1
+                counts = rule_counts(u)
                 uproof = search_unfocused(
-                    sig, seq, max_rules=proof_size(u), max_contractions=count_rule(u, uf.CONTR)
+                    sig, seq, max_rules=counts.total(), max_contractions=counts[uf.CONTR]
                 )
                 assert uproof is not None
         if uproof is not None:

@@ -19,8 +19,9 @@ from selogic.focusing import BLUR, DECIDE, FINIT, FONE, FProof, FTENSOR, check_f
 from selogic.formulas import Sequent
 from selogic.cli import main
 from selogic.minsky import Configuration, print_machine, run
+from selogic.records import proof_nodes
 from selogic.reduction import encode_halting, proof_from_trace
-from selogic.unfocused import INIT, ONE_RULE, TENSOR, WEAK, UProof, check_unfocused, proof_nodes
+from selogic.unfocused import INIT, ONE_RULE, TENSOR, WEAK, UProof, check_unfocused
 
 
 FIN0 = FProof(FINIT, principal=0)

@@ -18,8 +18,8 @@ from selogic.focusing import (
     FTENSOR,
     LDECIDE,
     UDECIDE,
+    DECIDE_RULES,
     check_focused,
-    count_decides,
     defocus,
     fpremise_plans,
     is_neutral,
@@ -28,6 +28,7 @@ from selogic.formulas import Bang, NegAtom, Par, Plus, Polarity, Qm, Sequent, Te
 from selogic.generators import random_context, random_formula, random_signature
 from selogic.parsing import parse_formula, parse_sequent
 from selogic.prover import prove_focused
+from selogic.records import proof_nodes, rule_counts
 from selogic.reduction import encode_halting
 from selogic.signatures import is_unbounded, leq
 from selogic.unfocused import (
@@ -38,11 +39,8 @@ from selogic.unfocused import (
     TENSOR,
     UProof,
     check_unfocused,
-    count_rule,
     materialize,
     premise_plans,
-    proof_nodes,
-    proof_size,
 )
 from test_prover import HALTING_BUDGETS
 
@@ -283,16 +281,18 @@ def test_udecide_keeps_its_formula(sig):
         ),
     )
     check_focused(sig, goal, proof)
-    assert count_decides(proof) == 2
-    assert proof_size(proof) == 4
+    counts = rule_counts(proof)
+    assert sum(counts[r] for r in DECIDE_RULES) == 2
+    assert counts.total() == 4
 
 
 def test_counters_walk_spines_deeper_than_the_recursion_limit():
     proof = FProof(FONE)
     for k in range(19_999):
         proof = FProof(BLUR, premises=(proof,)) if k % 2 else FProof(DECIDE, principal=0, premises=(proof,))
-    assert proof_size(proof) == 20_000
-    assert count_decides(proof) == 10_000
+    counts = rule_counts(proof)
+    assert counts.total() == 20_000
+    assert sum(counts[r] for r in DECIDE_RULES) == 10_000
 
 
 def test_blur_only_on_negative_focus(sig):
@@ -436,8 +436,8 @@ def test_defocus_of_structural_phases(sig):
     u = defocus(proof, sig, goal)
     useq = Sequent(goal.context)
     check_unfocused(sig, useq, u)
-    assert count_rule(u, CONTR) == 1
-    assert count_rule(u, "weak") == 1
+    assert rule_counts(u)[CONTR] == 1
+    assert rule_counts(u)["weak"] == 1
 
 
 # --- where defocus sends an ftensor's copies ---------------------------------
@@ -463,7 +463,7 @@ def test_a_copy_only_the_right_premise_udecides_goes_right(sig):
     # no contraction at the tensor, and no weakening on the left
     assert u.rule == TENSOR and u.split == (1,)
     assert u.premises[0].rule == INIT
-    assert count_rule(u, CONTR) == 1  # the udecide's
+    assert rule_counts(u)[CONTR] == 1  # the udecide's
 
 
 def test_a_copy_both_premises_udecide_is_contracted(sig):
@@ -471,7 +471,7 @@ def test_a_copy_both_premises_udecide_is_contracted(sig):
                   FProof(FTENSOR, kept=(0,), split=(), premises=(USE_Z, USE_Z)))
     assert u.rule == CONTR
     assert u.premises[0].rule == TENSOR
-    assert count_rule(u, CONTR) == 3
+    assert rule_counts(u)[CONTR] == 3
 
 
 def test_a_copy_only_the_left_premise_udecides_goes_left(sig):
@@ -479,7 +479,7 @@ def test_a_copy_only_the_left_premise_udecides_goes_left(sig):
                   FProof(FTENSOR, kept=(1,), split=(), premises=(USE_Z, FIN0)))
     assert u.rule == TENSOR and u.split == (2,)
     assert u.premises[1].rule == INIT
-    assert count_rule(u, CONTR) == 1
+    assert rule_counts(u)[CONTR] == 1
 
 
 def test_fbang_drops_a_kept_copy_that_went_to_the_other_premise(sig):
@@ -499,5 +499,4 @@ def test_prover_proofs_defocus_with_one_contraction_per_udecide(name, budget):
     proof = prove_focused(bundle.signature, goal, max_decides=budget).proof
     u = defocus(proof, bundle.signature, goal)
     check_unfocused(bundle.signature, goal, u)
-    udecides = sum(1 for node in proof_nodes(proof) if node.rule == UDECIDE)
-    assert count_rule(u, CONTR) == udecides > 0
+    assert rule_counts(u)[CONTR] == rule_counts(proof)[UDECIDE] > 0

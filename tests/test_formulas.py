@@ -74,8 +74,15 @@ def test_dual_of_deep_formulas_does_not_recurse():
             "(x * " * 3000 + "0" + ")" * 3000,
             ("Tensor(left=Atom(name='x'), right=", "One()"),
         ),
+        # only the innermost label, or the innermost connective, differs
+        ("!u " * 3000 + "x", "!u " * 2999 + "!v x", ("Bang(label='u', body=", "Atom(name='x')")),
+        (
+            "(x * " * 3000 + "1" + ")" * 3000,
+            "(x * " * 2999 + "(x | 1)" + ")" * 2999,
+            ("Tensor(left=Atom(name='x'), right=", "One()"),
+        ),
     ],
-    ids=["bangs", "tensors"],
+    ids=["bangs", "tensors", "inner-label", "inner-connective"],
 )
 def test_deep_formulas_compare_hash_and_print_without_recursing(text, changed, shown):
     f, g, h = parse_formula(text), parse_formula(text), parse_formula(changed)

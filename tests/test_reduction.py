@@ -5,6 +5,7 @@ from selogic.corpus import load_corpus
 from selogic.errors import (
     AtomClash,
     CheckError,
+    MachineError,
     MalformedCertificate,
     Reason,
     TraceMismatch,
@@ -13,8 +14,8 @@ from selogic.errors import (
 from selogic.focusing import (
     UDECIDE,
     FProof,
+    DECIDE_RULES,
     check_focused,
-    count_decides,
     defocus,
 )
 from selogic.formulas import NegAtom, Qm, Sequent
@@ -30,7 +31,8 @@ from selogic.reduction import (
     proof_from_trace,
     trace_from_proof,
 )
-from selogic.unfocused import CONTR, check_unfocused, count_rule, proof_size
+from selogic.records import rule_counts
+from selogic.unfocused import CONTR, check_unfocused
 
 
 def test_encoding_signature():
@@ -65,6 +67,11 @@ def test_encode_config_lays_out_tokens_then_state():
 )
 def test_entry_elements(entry, text):
     assert print_formula(entry_element(entry)) == text
+
+
+def test_entry_element_names_an_unknown_instruction():
+    with pytest.raises(MachineError, match=r"^unknown instruction 'jump'$"):
+        entry_element(Entry("q0", "jump", "q1"))
 
 
 def test_goal_is_the_wrapped_table_plus_the_configuration():
@@ -122,13 +129,15 @@ def test_certificates_from_traces(name):
     cert = proof_from_trace(bundle, out.trace)
     goal = Sequent(bundle.goal)
     check_focused(bundle.signature, goal, cert)
-    assert count_decides(cert) == decides
+    counts = rule_counts(cert)
+    assert sum(counts[r] for r in DECIDE_RULES) == decides
     if fsize is not None:
-        assert proof_size(cert) == fsize
+        assert counts.total() == fsize
     u = defocus(cert, bundle.signature, goal)
     check_unfocused(bundle.signature, Sequent(bundle.goal), u)
-    assert proof_size(u) == urules
-    assert count_rule(u, CONTR) == contractions
+    ucounts = rule_counts(u)
+    assert ucounts.total() == urules
+    assert ucounts[CONTR] == contractions
     assert trace_from_proof(bundle, cert) == out.trace
 
 

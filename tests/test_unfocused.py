@@ -38,6 +38,7 @@ from selogic.formulas import (
 from selogic.generators import random_context, random_signature
 from selogic.minsky import Configuration, run
 from selogic.parsing import parse_formula, parse_sequent, parse_signature, print_sequent
+from selogic.records import rule_counts
 from selogic.reduction import encode_halting, encoding_signature, proof_from_trace
 from selogic.unfocused import (
     BANG,
@@ -57,10 +58,8 @@ from selogic.unfocused import (
     _moves,
     check_unfocused,
     checked_nodes,
-    count_rule,
     materialize,
     premise_plans,
-    proof_size,
     search_unfocused,
 )
 
@@ -464,18 +463,20 @@ def test_unfocused_goals_have_no_focus(sig):
 def test_proof_statistics(sig):
     goal = parse_sequent("|- (x * y), ~x, ~y")
     proof = UProof(TENSOR, principal=0, split=(1,), premises=(INIT_01, INIT_01))
-    assert proof_size(proof) == 3
-    assert count_rule(proof, INIT) == 2
-    assert count_rule(proof, CONTR) == 0
+    counts = rule_counts(proof)
+    assert counts.total() == 3
+    assert counts[INIT] == 2
+    assert counts[CONTR] == 0
 
 
 def test_statistics_walk_spines_deeper_than_the_recursion_limit():
     proof = INIT_01
     for k in range(20_000):
         proof = UProof(CONTR if k % 4 == 0 else WEAK, principal=0, premises=(proof,))
-    assert proof_size(proof) == 20_001
-    assert count_rule(proof, CONTR) == 5_000
-    assert count_rule(proof, INIT) == 1
+    counts = rule_counts(proof)
+    assert counts.total() == 20_001
+    assert counts[CONTR] == 5_000
+    assert counts[INIT] == 1
 
 
 SEARCH_CASES = [
@@ -508,7 +509,7 @@ def test_search_respects_the_contraction_budget(sig):
     assert search_unfocused(sig, goal, max_rules=8, max_contractions=0) is None
     proof = search_unfocused(sig, goal, max_rules=8, max_contractions=1)
     assert proof is not None
-    assert count_rule(proof, CONTR) == 1
+    assert rule_counts(proof)[CONTR] == 1
     check_unfocused(sig, goal, proof)
 
 
@@ -682,7 +683,7 @@ def test_oracle_answers_when_contraction_is_needed():
         lines.append("none" if proof is None else print_unfocused_proof(proof))
         if proof is None:
             continue
-        contracted += count_rule(proof, CONTR) > 0
+        contracted += rule_counts(proof)[CONTR] > 0
         table = intern_table(*c)
         keys, parents = [], []
         for _node, seq, _plans, parent in checked_nodes(s, premise_plans, goal, proof):
